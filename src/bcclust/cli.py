@@ -56,17 +56,6 @@ def _resolve(args, defaults: dict, casts: dict) -> dict:
     return out
 
 
-def _threads() -> int:
-    raw = os.environ.get("BC_THREADS", "0")
-    try:
-        v = int(raw)
-        if v < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"BC_THREADS must be a nonnegative integer, got {raw!r}")
-    return v
-
-
 def _float_list(s: str):
     vals = [float(v) for v in s.replace(",", " ").split()]
     if not vals:
@@ -145,7 +134,6 @@ def cmd_simulate(args) -> int:
     bio.write_clusters_csv(_out(p, "clusters.csv"), cs)
     bio.write_steady_state_csv(_out(p, "steady_state.csv"), report)
     bio.write_density_csv(_out(p, "density.csv"), tr, p["bins"])
-    p["bc_threads"] = _threads()
     p["command"] = "simulate"
     bio.write_manifest(_out(p, "manifest.txt"), p)
     print(f"{cs.n_clusters} clusters; steady state "
@@ -186,7 +174,6 @@ def cmd_shape(args) -> int:
         name = f"centers_a{r.alpha:g}_e{r.eps1:g}_r{r.run}.csv"
         bio._write_csv(_out(p, name), ["center_1", "center_2"],
                        ([*c] for c in r.centers))
-    p["bc_threads"] = _threads()
     p["command"] = "shape"
     p["alpha_list"] = " ".join(f"{a:g}" for a in p["alpha_list"])
     p["eps1_list"] = " ".join(f"{e:g}" for e in p["eps1_list"])
@@ -227,7 +214,6 @@ def cmd_segment(args) -> int:
                     p["format"])
     bio.write_labels_csv(_out(p, "labels.csv"), sr)
     bio.write_clusters_csv(_out(p, "clusters.csv"), sr.clusters)
-    p["bc_threads"] = _threads()
     p["command"] = "segment"
     bio.write_manifest(_out(p, "manifest.txt"), p)
     levels = ", ".join(f"{v:.4g}" for v in sorted(sr.cluster_intensity))
@@ -275,7 +261,6 @@ def cmd_bench(args) -> int:
             rows.append([n, M, sec])
             print(f"n={n} M={M}: {sec * 1e3:.3f} ms/step")
     bio._write_csv(_out(p, "bench.csv"), ["n", "M", "seconds_per_step"], rows)
-    p["bc_threads"] = _threads()
     p["command"] = "bench"
     p["n_list"] = " ".join(str(v) for v in p["n_list"])
     p["M_list"] = " ".join(str(v) for v in p["M_list"])
@@ -295,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bcclust",
         description="Bounded-confidence clustering with static features: "
                     "steady states, shape detection, image segmentation.",
-        epilog="Environment: BC_THREADS caps the worker count (0 = auto); the "
-               "current build evaluates vectorized single-process steps. "
-               "Config files are 'key = value' lines with '#' comments; flags "
+        epilog="Config files are 'key = value' lines with '#' comments; flags "
                "override the config file, which overrides defaults.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .io import _atomic_open
 from .model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
 from .dynamics import IntegratorConfig, default_merge_tol, extract_clusters, simulate
 from .mfi import MfiConfig, mfi_simulate
@@ -136,19 +135,8 @@ def write_image(img: GrayImage, path, format: str = "P5") -> None:
             row = q[r * img.width:(r + 1) * img.width]
             lines.append(" ".join(str(int(v)) for v in row))
         payload = header + ("\n".join(lines) + "\n").encode()
-    _atomic_write_bytes(path, payload)
-
-
-def _atomic_write_bytes(path, payload: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-pgm-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _atomic_open(path, binary=True) as fh:
+        fh.write(payload)
 
 
 def image_to_particles(img: GrayImage) -> ParticleSet:

@@ -1,5 +1,6 @@
 """CSV/manifest serialization.  All files are written atomically
-(temp file + rename) with comma separators, '.' decimals and a header row."""
+(temp file + rename) with comma separators, '.' decimals and a header row.
+Floats are written as %.17g, which round-trips every double exactly."""
 
 from __future__ import annotations
 
@@ -22,12 +23,14 @@ def _fmt(v) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
-    """Text file handle on a temp file that replaces path on success."""
+def _atomic_open(path, binary: bool = False):
+    """Handle on a temp file that replaces path on success; text mode with
+    untranslated newlines, or bytes when binary."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-out-")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", newline="")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -40,28 +43,42 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path, header, rows) -> None:
-    # rows stream to the file, so memory stays flat for large trajectories
+def _write_blocks(path, header, blocks) -> None:
+    """Header line, then each block of formatted rows.  Blocks stream to the
+    file, so memory stays flat for large trajectories."""
     with _atomic_open(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Small tables: each value of each row formatted by _fmt."""
+    _write_blocks(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
+
+
+def _snapshot_blocks(tr, rows, values):
+    """One block per snapshot (t, pos) of tr: every row of the template list
+    rows is prefixed by the time column, then all rows are filled in one %
+    operation from the flattened array values(pos)."""
+    for t, pos in tr.snapshots:
+        tcol = _FLOAT_FMT % t + ","
+        block = tcol + tcol.join(rows)
+        yield block % tuple(values(pos).ravel().tolist())
 
 
 # -- trajectory ---------------------------------------------------------------
 
 def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
     """Rows (t, i, x_1..x_d1, c_1..c_d2) for every snapshot."""
-    d1 = tr.snapshots[0][1].shape[1]
+    n, d1 = tr.snapshots[0][1].shape
     d2 = features.shape[1]
     header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
               + [f"c_{k + 1}" for k in range(d2)])
-    def rows():
-        for t, pos in tr.snapshots:
-            for i in range(pos.shape[0]):
-                yield [t, i, *pos[i], *features[i]]
-    _write_csv(path, header, rows())
+    slots = ",".join([_FLOAT_FMT] * (d1 + d2))
+    rows = [f"{i},{slots}\n" for i in range(n)]
+    _write_blocks(path, header, _snapshot_blocks(
+        tr, rows, lambda pos: np.hstack([pos, features])))
 
 
 def read_trajectory_csv(path):
@@ -158,37 +175,38 @@ def write_steady_state_csv(path, report) -> None:
 # -- density histograms -------------------------------------------------------
 
 def write_density_csv(path, tr, bins: int, lo: float = 0.0, hi: float = 1.0) -> None:
-    """Per-snapshot position histogram on [lo, hi]^d, d in {1, 2}."""
+    """Per-snapshot position histogram on [lo, hi]^d, d in {1, 2}.
+
+    Only positions inside [lo, hi]^d are counted (the last bin includes hi);
+    a snapshot's counts sum to n only when every particle lies in the box.
+    Rows are (t, bin, x_center, count) in 1D and
+    (t, bin_x, bin_y, x_center, y_center, count) in 2D, bin_y varying fastest.
+    """
     d1 = tr.snapshots[0][1].shape[1]
     if d1 not in (1, 2):
         raise ConfigError("density histograms support d1 in {1, 2}")
     edges = np.linspace(lo, hi, bins + 1)
-    centers = (edges[:-1] + edges[1:]) / 2
+    centers = [_FLOAT_FMT % c for c in (edges[:-1] + edges[1:]) / 2]
     if d1 == 1:
         header = ["t", "bin", "x_center", "count"]
-        def rows():
-            for t, pos in tr.snapshots:
-                counts, _ = np.histogram(pos[:, 0], bins=edges)
-                for b in range(bins):
-                    yield [t, b, centers[b], int(counts[b])]
+        rows = [f"{b},{centers[b]},%d\n" for b in range(bins)]
+        def counts(pos):
+            return np.histogram(pos[:, 0], bins=edges)[0]
     else:
         header = ["t", "bin_x", "bin_y", "x_center", "y_center", "count"]
-        def rows():
-            for t, pos in tr.snapshots:
-                counts, _, _ = np.histogram2d(pos[:, 0], pos[:, 1],
-                                              bins=(edges, edges))
-                for bx in range(bins):
-                    for by in range(bins):
-                        yield [t, bx, by, centers[bx], centers[by],
-                               int(counts[bx, by])]
-    _write_csv(path, header, rows())
+        rows = [f"{bx},{by},{centers[bx]},{centers[by]},%d\n"
+                for bx in range(bins) for by in range(bins)]
+        def counts(pos):
+            return np.histogram2d(pos[:, 0], pos[:, 1],
+                                  bins=(edges, edges))[0].astype(np.int64)
+    _write_blocks(path, header, _snapshot_blocks(tr, rows, counts))
 
 
 # -- shape sweeps -------------------------------------------------------------
 
 def write_sweep_csv(path, result) -> None:
-    _write_csv(path, ["alpha", "eps1", "seed", "E", "n_clusters"],
-               ([r.alpha, r.eps1, r.seed, r.error, r.n_clusters]
+    _write_csv(path, ["alpha", "eps1", "run", "seed", "E", "n_clusters"],
+               ([r.alpha, r.eps1, r.run, r.seed, r.error, r.n_clusters]
                 for r in result.rows))
 
 

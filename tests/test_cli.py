@@ -56,12 +56,6 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(cfg),
                     "--out-dir", str(tmp_path)]) == 2
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BC_THREADS", "many")
-        assert run(["simulate", "--n", "50", "--eps1", "0.5",
-                    "--mode", "stochastic", "--t-final", "1",
-                    "--out-dir", str(tmp_path / "o")]) == 2
-
     def test_init_file_round_trip(self, tmp_path):
         ps_path = tmp_path / "init.csv"
         rng = np.random.default_rng(0)

@@ -1,5 +1,8 @@
 """CSV and manifest round trips."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,54 @@ from bcclust import io as bio
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import IntegratorConfig, extract_clusters, simulate, \
     verify_steady_state
+from bcclust.mfi import MfiConfig, mfi_simulate
 from bcclust.shapes import generate_letter_A, sweep
+
+SPECIAL = [-0.0, 1.0, 5e-324, 1e-300, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
+
+
+def oracle_csv(header, rows) -> bytes:
+    """Brute-force reference: one row at a time through csv.writer, each
+    float (Python or numpy) formatted as %.17g and anything else by str."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow(["%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row])
+    return buf.getvalue().encode()
+
+
+def oracle_trajectory(tr, features) -> bytes:
+    d1, d2 = tr.snapshots[0][1].shape[1], features.shape[1]
+    header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
+              + [f"c_{k + 1}" for k in range(d2)])
+    return oracle_csv(header, ([t, i, *pos[i], *features[i]]
+                               for t, pos in tr.snapshots
+                               for i in range(pos.shape[0])))
+
+
+def oracle_density(tr, bins) -> bytes:
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    centers = (edges[:-1] + edges[1:]) / 2
+    if tr.snapshots[0][1].shape[1] == 1:
+        rows = []
+        for t, pos in tr.snapshots:
+            counts, _ = np.histogram(pos[:, 0], bins=edges)
+            rows += [[t, b, centers[b], int(counts[b])] for b in range(bins)]
+        return oracle_csv(["t", "bin", "x_center", "count"], rows)
+    rows = []
+    for t, pos in tr.snapshots:
+        counts, _, _ = np.histogram2d(pos[:, 0], pos[:, 1], bins=(edges, edges))
+        rows += [[t, bx, by, centers[bx], centers[by], int(counts[bx, by])]
+                 for bx in range(bins) for by in range(bins)]
+    return oracle_csv(["t", "bin_x", "bin_y", "x_center", "y_center", "count"],
+                      rows)
+
+
+class Snapshots:
+    def __init__(self, snapshots):
+        self.snapshots = snapshots
 
 
 @pytest.fixture
@@ -36,6 +86,61 @@ class TestTrajectoryCsv:
         bio.write_trajectory_csv(path, tr, ps.features)
         header = path.read_text().splitlines()[0]
         assert header == "t,i,x_1,x_2,c_1"
+
+
+class TestWritersMatchOracle:
+    """The per-snapshot block writers give the row-at-a-time bytes."""
+
+    def check(self, tmp_path, tr, features, bins=(1, 7)):
+        path = tmp_path / "tr.csv"
+        bio.write_trajectory_csv(path, tr, features)
+        assert path.read_bytes() == oracle_trajectory(tr, features)
+        if tr.snapshots[0][1].shape[1] <= 2:
+            for b in bins:
+                bio.write_density_csv(path, tr, bins=b)
+                assert path.read_bytes() == oracle_density(tr, b)
+
+    @pytest.mark.parametrize("d1", [1, 2])
+    @pytest.mark.parametrize("d2", [0, 1])
+    def test_mfi_run(self, tmp_path, d1, d2):
+        rng = np.random.default_rng(10 * d1 + d2)
+        ps = ParticleSet(rng.uniform(0, 1, (23, d1)),
+                         rng.uniform(0, 1, (23, d2)) if d2 else None)
+        spec = InteractionSpec(eps1=0.3, sigma_mode="stochastic")
+        tr = mfi_simulate(ps, spec, MfiConfig(M=3, dt=0.5, t_final=2.0, seed=4))
+        self.check(tmp_path, tr, ps.features)
+
+    def test_record_every_adds_final_snapshot(self, tmp_path):
+        rng = np.random.default_rng(2)
+        ps = ParticleSet(rng.uniform(0, 1, (15, 2)), rng.uniform(0, 1, (15, 1)))
+        spec = InteractionSpec(eps1=0.4, sigma_mode="stochastic")
+        tr = simulate(ps, spec, IntegratorConfig(dt=0.5, t_final=2.5,
+                                                 stop_tol=0.0, record_every=2))
+        assert [t for t, _ in tr.snapshots] == [0.0, 1.0, 2.0, 2.5]
+        self.check(tmp_path, tr, ps.features)
+
+    @pytest.mark.parametrize("d1", [1, 2])
+    def test_one_particle(self, tmp_path, d1):
+        ps = ParticleSet(np.full((1, d1), 0.25), np.array([[0.5]]))
+        tr = simulate(ps, InteractionSpec(eps1=0.2, sigma_mode="stochastic"),
+                      IntegratorConfig(dt=0.5, t_final=1.0, stop_tol=0.0))
+        self.check(tmp_path, tr, ps.features)
+
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_special_values(self, tmp_path, d1):
+        rng = np.random.default_rng(d1)
+        pos = rng.choice(SPECIAL, size=(3 * len(SPECIAL), d1))
+        pos[:len(SPECIAL), 0] = SPECIAL
+        features = rng.choice(SPECIAL, size=(pos.shape[0], 2))
+        tr = Snapshots([(0.0, pos), (1.0, pos[::-1].copy()), (1e-300, -pos)])
+        self.check(tmp_path, tr, features)
+
+    def test_unit_value_prints_as_1_in_last_bin(self, tmp_path):
+        tr = Snapshots([(1.0, np.array([[1.0], [0.0], [-0.0], [0.5]]))])
+        path = tmp_path / "d.csv"
+        bio.write_density_csv(path, tr, bins=2)
+        assert path.read_text() == ("t,bin,x_center,count\n"
+                                    "1,0,0.25,2\n1,1,0.75,2\n")
 
 
 class TestMomentsCsv:
@@ -98,6 +203,16 @@ class TestDensityCsv:
 
 
 class TestSweepCsv:
+    def test_sweep_rows_carry_run(self, tmp_path):
+        pat = generate_letter_A(60)
+        res = sweep(pat, [0.05], [0.1], 2, master_seed=1, t_final=1.0)
+        bio.write_sweep_csv(tmp_path / "s.csv", res)
+        with open(tmp_path / "s.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["alpha", "eps1", "run", "seed", "E", "n_clusters"]
+        assert [int(r["run"]) for r in rows] == [0, 1]
+        assert [int(r["seed"]) for r in rows] == [row.seed for row in res.rows]
+
     def test_summary_has_one_best_per_alpha(self, tmp_path):
         pat = generate_letter_A(60)
         res = sweep(pat, [0.05], [0.1, 0.2], 1, master_seed=1, t_final=2.0)
