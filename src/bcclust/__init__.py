@@ -13,12 +13,8 @@ from .model import (
     ConfigError,
     DimensionMismatch,
     InteractionSpec,
-    NeighborhoodResult,
     ParticleSet,
-    adjacency_weight,
-    chi,
     distance,
-    neighborhood,
 )
 from .dynamics import (
     Cluster,

@@ -8,18 +8,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    ClusteringError,
     ConfigError,
     InteractionSpec,
     ParticleSet,
     _reduce_abs_diff,
+    _within,
     _within_mask,
     bbox_diameter,
-    distance,
     distances_to,
     pairwise_distances,
 )
 from .moments import MomentRecord
+
+# Pairs of a dense gate evaluated at once.  A block that has not collapsed is
+# gated in row chunks of at most this many pairs, so its largest float
+# temporary is 2**22 * 8 B = 32 MiB whatever the block size.
+_CHUNK_PAIRS = 2**22
 
 
 @dataclass(frozen=True)
@@ -98,39 +102,120 @@ class SteadyStateReport:
     violations: list
 
 
+def _row_chunks(m: int):
+    """Row slices of an (m, m) gate, each of at most _CHUNK_PAIRS pairs."""
+    step = max(1, _CHUNK_PAIRS // max(m, 1))
+    return [slice(s, min(s + step, m)) for s in range(0, m, step)]
+
+
+def _feature_labels(f: np.ndarray, eps: float, norm: str) -> np.ndarray:
+    """Connected-component label of each row of f under the feature gate."""
+    n = f.shape[0]
+    if f.shape[1] == 1:
+        # In one coordinate the gate is monotone along the sorted order, so a
+        # component is a run of sorted neighbours that pass it.
+        order = np.argsort(f[:, 0], kind="stable")
+        cut = ~_within(f[order], np.arange(n - 1), np.arange(1, n), eps, norm)
+        labels = np.empty(n, dtype=np.intp)
+        labels[order] = np.concatenate(([0], np.cumsum(cut)))
+        return labels
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # labels[i] is a node of the graph merged so far; each chunk of gated
+    # pairs merges the nodes it links, so memory stays at one chunk.
+    labels = np.arange(n)
+    for rows in _row_chunks(n):
+        i, j = np.nonzero(_within_mask(f, eps, norm, rows))
+        links = coo_matrix((np.ones(i.size, dtype=bool),
+                            (labels[i + rows.start], labels[j])), shape=(n, n))
+        labels = connected_components(links, directed=False)[1][labels]
+    return labels
+
+
+def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
+    """The static-feature components of ps, the independent blocks of the drift.
+
+    Two particles in different components never interact, and features never
+    move, so the components hold for a whole run.  Returns one (idx, fmask)
+    pair per component of two or more particles: idx its sorted indices, fmask
+    its own (|C|, |C|) feature gate, or None when the component's feature
+    bounding box lies within eps2 and every pair passes.  A particle alone in
+    its component has zero drift and is left out.
+    """
+    n = ps.n
+    if ps.d2 == 0 or not np.isfinite(spec.eps2):
+        groups = [np.arange(n)]
+    else:
+        labels = _feature_labels(ps.features, spec.eps2, spec.norm2)
+        order = np.argsort(labels, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    blocks = []
+    for idx in groups:
+        if idx.size < 2:
+            continue
+        f = ps.features[idx]
+        fmask = None
+        if bbox_diameter(f, spec.norm2) > spec.eps2:
+            fmask = np.empty((idx.size, idx.size), dtype=bool)
+            for rows in _row_chunks(idx.size):
+                fmask[rows] = _within_mask(f, spec.eps2, spec.norm2, rows)
+        blocks.append((idx, fmask))
+    return blocks
+
+
+def _dense_drift(xc: np.ndarray, fmask: np.ndarray | None, spec: InteractionSpec,
+                 n: int) -> np.ndarray:
+    """Drift of one block of an n-particle set from its gate, in row chunks."""
+    vc = np.empty_like(xc)
+    for rows in _row_chunks(xc.shape[0]):
+        gate = _within_mask(xc, spec.eps1, spec.norm1, rows)
+        if fmask is not None:
+            gate &= fmask[rows]
+        deg = gate.sum(axis=1)
+        sigma = float(n) if spec.sigma_mode == "symmetric" else deg[:, None]
+        vc[rows] = (gate.astype(float) @ xc - deg[:, None] * xc[rows]) / sigma
+    return vc
+
+
 def _drift(ps: ParticleSet, spec: InteractionSpec,
-           feature_mask: np.ndarray | None = None) -> np.ndarray:
+           blocks: list | None = None) -> np.ndarray:
     """Velocity of every particle under the bounded-confidence interaction.
 
-    feature_mask may carry the precomputed (n, n) feature-gate matrix; features
-    never move, so callers stepping in a loop compute it once.
+    The drift splits into independent blocks, one per static-feature
+    component (see _feature_blocks); blocks may carry them precomputed, since
+    callers stepping in a loop find them once.  A block whose position and
+    feature bounding boxes lie within eps1 and eps2 interacts pair by pair,
+    and its velocity collapses to (mean_C - x), times |C|/n in symmetric
+    mode: O(|C|).  Any other block is gated densely, O(|C|^2) time, in row
+    chunks of bounded memory.
     """
     x = ps.positions
-    n = ps.n
-    # When the whole cloud fits inside both confidence levels every pair
-    # interacts and the velocity collapses to (mean - x) in either sigma mode.
-    # O(n) instead of O(n^2); the sufficient condition uses the bounding box.
-    if bbox_diameter(x, spec.norm1) <= spec.eps1 and (
-        ps.d2 == 0 or bbox_diameter(ps.features, spec.norm2) <= spec.eps2
-    ):
-        return x.mean(axis=0)[None, :] - x
-    mask = _within_mask(x, spec.eps1, spec.norm1)
-    if ps.d2 > 0:
-        if feature_mask is None:
-            feature_mask = _within_mask(ps.features, spec.eps2, spec.norm2)
-        mask &= feature_mask
-    deg = mask.sum(axis=1)
-    sigma = np.full(n, float(n)) if spec.sigma_mode == "symmetric" else deg.astype(float)
-    w = mask.astype(float)
-    return (w @ x - deg[:, None] * x) / sigma[:, None]
+    if blocks is None:
+        blocks = _feature_blocks(ps, spec)
+    v = np.zeros_like(x)
+    for idx, fmask in blocks:
+        xc = x[idx]
+        if fmask is None and bbox_diameter(xc, spec.norm1) <= spec.eps1:
+            vc = xc.mean(axis=0)[None, :] - xc
+            if spec.sigma_mode == "symmetric":
+                vc *= idx.size / ps.n
+        else:
+            vc = _dense_drift(xc, fmask, spec, ps.n)
+        v[idx] = vc
+    return v
 
 
 def euler_step(ps: ParticleSet, spec: InteractionSpec, dt: float,
-               _feature_mask: np.ndarray | None = None) -> ParticleSet:
-    """One synchronous explicit Euler step.  Features and t advance accordingly."""
+               _blocks: list | None = None) -> ParticleSet:
+    """One synchronous explicit Euler step.  Features and t advance accordingly.
+
+    _blocks may carry the static-feature blocks of ps (see _feature_blocks),
+    which simulate finds once per run; without them the step finds its own.
+    """
     if not 0 < dt <= 1:
         raise ConfigError(f"dt must be in (0, 1], got {dt}")
-    x_new = ps.positions + dt * _drift(ps, spec, _feature_mask)
+    x_new = ps.positions + dt * _drift(ps, spec, _blocks)
     return ps.with_positions(x_new, ps.t + dt)
 
 
@@ -166,13 +251,16 @@ def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
 
 
 def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig) -> Trajectory:
-    """Iterate euler_step to t_final (or early stop), recording snapshots and moments."""
+    """Iterate euler_step to t_final (or early stop), recording snapshots and moments.
+
+    The static-feature blocks are found once, before the first step.  A step
+    then costs O(|C|^2) for each block C that has not collapsed within eps1
+    and O(|C|) for each one that has.
+    """
     meta = {"method": "euler", "dt": cfg.dt, "t_final": cfg.t_final,
             "sigma_mode": spec.sigma_mode}
-    fmask = None
-    if ps0.d2 > 0 and np.isfinite(spec.eps2):
-        fmask = _within_mask(ps0.features, spec.eps2, spec.norm2)
-    return _run(ps0, spec, cfg, lambda ps, k: euler_step(ps, spec, cfg.dt, fmask), meta,
+    blocks = _feature_blocks(ps0, spec)
+    return _run(ps0, spec, cfg, lambda ps, k: euler_step(ps, spec, cfg.dt, blocks), meta,
                 cfg.stop_tol)
 
 
@@ -229,21 +317,13 @@ def _pair_within(pa, pb, fa, fb, tol, eps2, norm1, norm2):
     block = 512
     for s in range(0, pa.shape[0], block):
         dp = np.abs(pa[s:s + block, None, :] - pb[None, :, :])
-        ok = _norm_reduce(dp, norm1) <= tol
+        ok = _reduce_abs_diff(dp, norm1, axis=-1) <= tol
         if fa.shape[1] > 0:
             df = np.abs(fa[s:s + block, None, :] - fb[None, :, :])
-            ok &= _norm_reduce(df, norm2) <= eps2
+            ok &= _reduce_abs_diff(df, norm2, axis=-1) <= eps2
         if ok.any():
             return True
     return False
-
-
-def _norm_reduce(d, norm):
-    if norm == "euclidean":
-        return np.sqrt((d * d).sum(axis=-1))
-    if norm == "max":
-        return d.max(axis=-1)
-    return d.sum(axis=-1)
 
 
 def extract_clusters(ps: ParticleSet, merge_tol: float | None,

@@ -11,7 +11,11 @@ from .model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
 from .dynamics import IntegratorConfig, default_merge_tol, extract_clusters, simulate
 from .mfi import MfiConfig, mfi_simulate
 
-# Largest pixel count handled by the exact O(n^2) integrator by default.
+# Largest pixel count handled by the exact integrator by default.  Its step
+# costs O(|C|^2) time for each static-feature component C of the pixels that
+# has not collapsed within eps1, and O(|C|) for each one that has; memory is
+# bounded by row chunks.  All pixels form one component when no gap between
+# sorted intensities exceeds eps2.
 DETERMINISTIC_PIXEL_LIMIT = 2**14
 
 

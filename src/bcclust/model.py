@@ -1,4 +1,4 @@
-"""Core interaction primitives: indicator kernels, metrics, neighborhoods, adjacency weights.
+"""Core interaction primitives: configuration, particle sets, metrics and the direct gate.
 
 All operations here are pure reads over immutable particle snapshots and are
 safe to call concurrently.
@@ -6,7 +6,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,23 +108,6 @@ class ParticleSet:
         return ps
 
 
-@dataclass(frozen=True)
-class NeighborhoodResult:
-    """Sorted self-inclusive indices of the particles within both gates."""
-
-    indices: np.ndarray
-    count: int = field(default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
-        object.__setattr__(self, "count", len(self.indices))
-
-
-def chi(eps: float, dist: float):
-    """Indicator of dist <= eps.  Boundary inclusive.  Works elementwise on arrays."""
-    return np.where(np.asarray(dist) <= eps, 1, 0)
-
-
 def distance(a, b, norm: str = "euclidean") -> float:
     """p-norm distance between two points for the selected metric tag."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -173,8 +156,8 @@ def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     index arrays.
 
     The direct gate: the same differences, terms and summation order as
-    distance and distances_to, one coordinate at a time, so the largest
-    temporary is one array of the broadcast shape.
+    distance and distances_to, one coordinate at a time, so at most two float
+    arrays of the broadcast shape are alive at once.
     """
     if points.shape[1] == 0 or not np.isfinite(eps):
         return np.ones(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=bool)
@@ -196,36 +179,9 @@ def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     return acc <= eps
 
 
-def _within_mask(points: np.ndarray, eps: float, norm: str) -> np.ndarray:
-    """(n, n) boolean matrix of pairs within eps under the direct gate."""
+def _within_mask(points: np.ndarray, eps: float, norm: str,
+                 rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of the (n, n) boolean matrix of pairs within eps under the
+    direct gate."""
     idx = np.arange(points.shape[0])
-    return _within(points, idx[:, None], idx[None, :], eps, norm)
-
-
-def interaction_mask(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
-    """(n, n) boolean matrix of pairs passing both confidence gates."""
-    mask = _within_mask(ps.positions, spec.eps1, spec.norm1)
-    if ps.d2 > 0:
-        mask &= _within_mask(ps.features, spec.eps2, spec.norm2)
-    return mask
-
-
-def neighborhood(ps: ParticleSet, i: int, spec: InteractionSpec) -> NeighborhoodResult:
-    """Indices j with position gap <= eps1 and feature gap <= eps2.  Includes i."""
-    if not 0 <= i < ps.n:
-        raise ConfigError(f"particle index {i} out of range [0, {ps.n})")
-    ok = distances_to(ps.positions, ps.positions[i], spec.norm1) <= spec.eps1
-    if ps.d2 > 0:
-        ok &= distances_to(ps.features, ps.features[i], spec.norm2) <= spec.eps2
-    return NeighborhoodResult(np.nonzero(ok)[0])
-
-
-def adjacency_weight(ps: ParticleSet, i: int, j: int, spec: InteractionSpec) -> float:
-    """1/sigma_i if j is in the neighborhood of i, else 0."""
-    if not 0 <= j < ps.n:
-        raise ConfigError(f"particle index {j} out of range [0, {ps.n})")
-    nb = neighborhood(ps, i, spec)
-    if j not in nb.indices:
-        return 0.0
-    sigma = ps.n if spec.sigma_mode == "symmetric" else nb.count
-    return 1.0 / sigma
+    return _within(points, idx[rows, None], idx[None, :], eps, norm)

@@ -1,0 +1,75 @@
+"""Brute-force reference implementations of the interaction gate.
+
+Each answers one question a particle at a time or over the whole (n, n)
+matrix, the way the model is written down, so tests can compare the
+package's blocked and cell-list code against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from bcclust.model import (
+    ConfigError,
+    InteractionSpec,
+    ParticleSet,
+    _within_mask,
+    distances_to,
+)
+
+
+@dataclass(frozen=True)
+class NeighborhoodResult:
+    """Sorted self-inclusive indices of the particles within both gates."""
+
+    indices: np.ndarray
+    count: int = field(default=0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
+        object.__setattr__(self, "count", len(self.indices))
+
+
+def chi(eps: float, dist: float):
+    """Indicator of dist <= eps.  Boundary inclusive.  Works elementwise on arrays."""
+    return np.where(np.asarray(dist) <= eps, 1, 0)
+
+
+def interaction_mask(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
+    """(n, n) boolean matrix of pairs passing both confidence gates."""
+    mask = _within_mask(ps.positions, spec.eps1, spec.norm1)
+    if ps.d2 > 0:
+        mask &= _within_mask(ps.features, spec.eps2, spec.norm2)
+    return mask
+
+
+def neighborhood(ps: ParticleSet, i: int, spec: InteractionSpec) -> NeighborhoodResult:
+    """Indices j with position gap <= eps1 and feature gap <= eps2.  Includes i."""
+    if not 0 <= i < ps.n:
+        raise ConfigError(f"particle index {i} out of range [0, {ps.n})")
+    ok = distances_to(ps.positions, ps.positions[i], spec.norm1) <= spec.eps1
+    if ps.d2 > 0:
+        ok &= distances_to(ps.features, ps.features[i], spec.norm2) <= spec.eps2
+    return NeighborhoodResult(np.nonzero(ok)[0])
+
+
+def adjacency_weight(ps: ParticleSet, i: int, j: int, spec: InteractionSpec) -> float:
+    """1/sigma_i if j is in the neighborhood of i, else 0."""
+    if not 0 <= j < ps.n:
+        raise ConfigError(f"particle index {j} out of range [0, {ps.n})")
+    nb = neighborhood(ps, i, spec)
+    if j not in nb.indices:
+        return 0.0
+    sigma = ps.n if spec.sigma_mode == "symmetric" else nb.count
+    return 1.0 / sigma
+
+
+def dense_drift(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
+    """Velocity of every particle from the full (n, n) interaction mask."""
+    mask = interaction_mask(ps, spec)
+    deg = mask.sum(axis=1)
+    sigma = np.full(ps.n, float(ps.n)) if spec.sigma_mode == "symmetric" else deg
+    x = ps.positions
+    return (mask.astype(float) @ x - deg[:, None] * x) / sigma[:, None]

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 
 from bcclust.cells import candidate_pool
-from bcclust.model import InteractionSpec, ParticleSet, neighborhood
+from bcclust.model import InteractionSpec, ParticleSet
+from oracles import neighborhood
 
 from test_rng import gated_sets
 

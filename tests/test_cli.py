@@ -1,6 +1,8 @@
 """End-to-end command-line runs on small problems."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,3 +157,18 @@ class TestBenchCommand:
 
     def test_missing_lists(self, tmp_path):
         assert run(["bench", "--out-dir", str(tmp_path)]) == 2
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        """scipy is imported inside the functions that use it: loading it with
+        the CLI would more than double the start-up time of every command."""
+        import bcclust
+
+        src = os.path.dirname(os.path.dirname(bcclust.__file__))
+        code = ("import sys, bcclust.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -1,9 +1,14 @@
 """Euler integrator, cluster extraction, steady-state verification."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bcclust import dynamics
+from bcclust.imageseg import segment
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import (
     IntegratorConfig,
@@ -14,6 +19,8 @@ from bcclust.dynamics import (
     simulate,
     verify_steady_state,
 )
+from oracles import dense_drift
+from test_acceptance import quadrant_image
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
 
@@ -94,6 +101,90 @@ class TestEulerStep:
         # positions and features live in [0,1], so 1.5 also gates nothing
         slow = _drift(ps, tight)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+NORM = st.sampled_from(["euclidean", "max", "manhattan"])
+EIGHTHS = st.integers(0, 8).map(lambda k: k / 8)  # exact sums and differences
+
+
+@st.composite
+def blocked_cases(draw):
+    """A particle set whose features form several components, a spec and a
+    chunk size.  Feature groups sit 2 apart, farther than any eps2, and are
+    drawn in eighths, so gaps of exactly eps2 occur.  Even groups are packed
+    within eps1 (collapsed unless the feature gate splits them), odd groups
+    spread over the unit box."""
+    d1 = draw(st.integers(1, 2))
+    d2 = draw(st.integers(0, 2))
+    eps1 = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    pos, feat = [], []
+    for g in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 6))
+        if g % 2 == 0:
+            base = draw(st.lists(EIGHTHS, min_size=d1, max_size=d1))
+            offs = draw(st.lists(st.floats(0, eps1 / 4), min_size=m * d1, max_size=m * d1))
+            pos.append(np.array(base) + np.array(offs).reshape(m, d1))
+        else:
+            pts = draw(st.lists(st.one_of(EIGHTHS, st.floats(0, 1)),
+                                min_size=m * d1, max_size=m * d1))
+            pos.append(np.array(pts).reshape(m, d1))
+        vals = draw(st.lists(st.integers(0, 6), min_size=m * d2, max_size=m * d2))
+        feat.append(2.0 * g + np.array(vals, dtype=float).reshape(m, d2) / 8)
+    ps = ParticleSet(np.vstack(pos), np.vstack(feat) if d2 else None)
+    spec = InteractionSpec(eps1=eps1, eps2=draw(st.sampled_from([0.125, 0.25, 0.375])),
+                           norm1=draw(NORM), norm2=draw(NORM),
+                           sigma_mode=draw(st.sampled_from(["symmetric", "stochastic"])))
+    return ps, spec, draw(st.integers(1, 64))
+
+
+class TestBlockedDrift:
+    @given(blocked_cases())
+    @example((ParticleSet([[0.0], [0.1], [0.9], [1.0]], [[0.5], [0.75], [1.0], [2.0]]),
+              InteractionSpec(eps1=0.25, eps2=0.25, sigma_mode="stochastic"), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_drift_matches_dense(self, case):
+        """Per-component blocks, closed form and row chunks equal the full sum."""
+        ps, spec, chunk = case
+        with mock.patch.object(dynamics, "_CHUNK_PAIRS", chunk):
+            blocked = _drift(ps, spec)
+        np.testing.assert_allclose(blocked, dense_drift(ps, spec), rtol=0, atol=1e-12)
+
+    def test_step_memory_bounded_in_one_component(self):
+        """A block that has not collapsed is gated in chunks, not n x n."""
+        rng = np.random.default_rng(0)
+        n = 8192
+        ps = ParticleSet(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 1)))
+        spec = InteractionSpec(eps1=0.5, eps2=0.3)
+        assert len(dynamics._feature_blocks(ps, spec)) == 1
+        tracemalloc.start()
+        try:
+            euler_step(ps, spec, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+
+    def test_quadrant_steps_stay_small(self, monkeypatch):
+        """Once each half of the quadrant image collapses within eps1, a step
+        allocates O(n), never an n x n float matrix."""
+        peaks = []
+        step = dynamics.euler_step
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(dynamics, "euler_step", traced)
+        segment(quadrant_image(64), InteractionSpec(eps1=0.5, eps2=0.3,
+                                                    sigma_mode="stochastic"))
+        n = 64 * 64
+        assert len(peaks) == 27
+        assert max(peaks) < n * n * 8
+        assert sum(p < 2**20 for p in peaks) >= 20
 
 
 class TestSimulate:

@@ -10,14 +10,11 @@ from bcclust.model import (
     InteractionSpec,
     ParticleSet,
     _within_mask,
-    adjacency_weight,
     bbox_diameter,
-    chi,
     distance,
-    interaction_mask,
-    neighborhood,
     pairwise_distances,
 )
+from oracles import adjacency_weight, chi, interaction_mask, neighborhood
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
 

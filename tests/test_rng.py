@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from bcclust.cells import candidate_pool
-from bcclust.model import ConfigError, InteractionSpec, ParticleSet, neighborhood
+from bcclust.model import ConfigError, InteractionSpec, ParticleSet
+from oracles import neighborhood
 from bcclust.rng import RngStream, derive_seed
 
 
