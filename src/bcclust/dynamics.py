@@ -109,27 +109,17 @@ def _row_chunks(m: int):
 
 
 def _feature_labels(f: np.ndarray, eps: float, norm: str) -> np.ndarray:
-    """Connected-component label of each row of f under the feature gate."""
-    n = f.shape[0]
-    if f.shape[1] == 1:
-        # In one coordinate the gate is monotone along the sorted order, so a
-        # component is a run of sorted neighbours that pass it.
-        order = np.argsort(f[:, 0], kind="stable")
-        cut = ~_within(f[order], np.arange(n - 1), np.arange(1, n), eps, norm)
-        labels = np.empty(n, dtype=np.intp)
-        labels[order] = np.concatenate(([0], np.cumsum(cut)))
-        return labels
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Connected-component label of each value of a one-column f under the
+    feature gate.
 
-    # labels[i] is a node of the graph merged so far; each chunk of gated
-    # pairs merges the nodes it links, so memory stays at one chunk.
-    labels = np.arange(n)
-    for rows in _row_chunks(n):
-        i, j = np.nonzero(_within_mask(f, eps, norm, rows))
-        links = coo_matrix((np.ones(i.size, dtype=bool),
-                            (labels[i + rows.start], labels[j])), shape=(n, n))
-        labels = connected_components(links, directed=False)[1][labels]
+    In one coordinate the gate is monotone along the sorted order, so a
+    component is a run of sorted neighbours that pass it.
+    """
+    n = f.shape[0]
+    order = np.argsort(f[:, 0], kind="stable")
+    cut = ~_within(f[order], np.arange(n - 1), np.arange(1, n), eps, norm)
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.concatenate(([0], np.cumsum(cut)))
     return labels
 
 
@@ -142,14 +132,17 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
     its own (|C|, |C|) feature gate, or None when the component's feature
     bounding box lies within eps2 and every pair passes.  A particle alone in
     its component has zero drift and is left out.
+
+    Components are split only for one feature; with two or more the whole set
+    is one block, gated by its full feature mask.
     """
     n = ps.n
-    if ps.d2 == 0 or not np.isfinite(spec.eps2):
-        groups = [np.arange(n)]
-    else:
+    if ps.d2 == 1 and np.isfinite(spec.eps2):
         labels = _feature_labels(ps.features, spec.eps2, spec.norm2)
         order = np.argsort(labels, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    else:
+        groups = [np.arange(n)]
     blocks = []
     for idx in groups:
         if idx.size < 2:

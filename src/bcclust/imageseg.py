@@ -13,8 +13,10 @@ from .mfi import MfiConfig, mfi_simulate
 
 # Largest pixel count handled by the exact integrator by default.  Its step
 # costs O(|C|^2) time for each static-feature component C of the pixels that
-# has not collapsed within eps1, and O(|C|) for each one that has; memory is
-# bounded by row chunks.  All pixels form one component when no gap between
+# has not collapsed within eps1, and O(|C|) for each one that has.  Its float
+# temporaries are bounded by row chunks, but a component whose intensities
+# spread over more than eps2 keeps a |C| x |C| byte feature mask for the run
+# (256 MiB at this limit).  All pixels form one component when no gap between
 # sorted intensities exceeds eps2.
 DETERMINISTIC_PIXEL_LIMIT = 2**14
 
