@@ -41,14 +41,19 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not 0 < self.dt <= 1:
-            raise ConfigError(f"dt must be in (0, 1], got {self.dt}")
-        if self.t_final < self.dt:
-            raise ConfigError("t_final must be at least dt")
+        _check_schedule(self)
         if self.stop_tol < 0:
             raise ConfigError("stop_tol must be nonnegative")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be a positive integer")
+
+
+def _check_schedule(cfg) -> None:
+    """The checks both integrators' configs share: dt, t_final, record_every."""
+    if not 0 < cfg.dt <= 1:
+        raise ConfigError(f"dt must be in (0, 1], got {cfg.dt}")
+    if cfg.t_final < cfg.dt:
+        raise ConfigError("t_final must be at least dt")
+    if cfg.record_every < 1:
+        raise ConfigError("record_every must be a positive integer")
 
 
 @dataclass

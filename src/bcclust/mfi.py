@@ -23,7 +23,7 @@ import numpy as np
 from .cells import candidate_pool
 from .model import ConfigError, InteractionSpec, ParticleSet, _reduce_abs_diff
 from .rng import RngStream
-from .dynamics import Trajectory, _run
+from .dynamics import Trajectory, _check_schedule, _run
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,7 @@ class MfiConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigError("subset size M must be at least 1")
-        if not 0 < self.dt <= 1:
-            raise ConfigError(f"dt must be in (0, 1], got {self.dt}")
-        if self.t_final < self.dt:
-            raise ConfigError("t_final must be at least dt")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be a positive integer")
+        _check_schedule(self)
 
 
 def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,

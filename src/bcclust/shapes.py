@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,19 +103,48 @@ def load_segments(path) -> tuple:
 
 
 def perturb(pat: Pattern, ns: NoiseSpec) -> np.ndarray:
-    """Additive noise x + alpha * theta, resampled until inside [0,1]^2."""
+    """Additive noise x + alpha * theta, resampled until inside [0,1]^2.
+
+    The pairs theta come from one stream: each point takes the next pair,
+    and a rejected point takes the next one again.  Pairs are drawn in
+    blocks, since one Generator call for 2k values returns the same doubles
+    as k calls for 2.  Each pass accepts, all at once, the run of points
+    whose candidates from the following pairs lie inside; only a rejected
+    point is retried pair by pair.
+    """
     rng = np.random.default_rng(ns.seed)
-    out = np.empty_like(pat.points)
-    for i, x in enumerate(pat.points):
-        while True:
-            if ns.dist == "uniform":
-                theta = rng.uniform(-1.0, 1.0, size=2)
-            else:
-                theta = rng.standard_normal(2)
-            cand = x + ns.alpha * theta
-            if np.all((cand >= 0.0) & (cand <= 1.0)):
-                out[i] = cand
-                break
+    if ns.dist == "uniform":
+        def draw(k): return rng.uniform(-1.0, 1.0, size=(k, 2))
+    else:
+        def draw(k): return rng.standard_normal((k, 2))
+    x, alpha = pat.points, ns.alpha
+    n = len(x)
+    out = np.empty_like(x)
+    theta = draw(n)
+    i = p = 0
+    width = n  # points tried per pass: twice the last accepted run, plus slack
+    while i < n:
+        if p == len(theta):
+            theta, p = draw(n - i), 0
+        m = min(width, n - i, len(theta) - p)
+        cand = x[i:i + m] + alpha * theta[p:p + m]
+        inside = ((cand >= 0.0) & (cand <= 1.0)).all(axis=1)
+        run = m if inside.all() else int(inside.argmin())
+        out[i:i + run] = cand[:run]
+        i, p = i + run, p + run
+        width = 2 * run + 32
+        if run < m:  # point i rejected theta[p]: retry it on the next pairs
+            xi, yi = x[i].tolist()
+            while True:
+                p += 1
+                if p == len(theta):
+                    theta, p = draw(n - i), 0
+                tx, ty = theta[p].tolist()
+                cx, cy = xi + alpha * tx, yi + alpha * ty
+                if 0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0:
+                    break
+            out[i] = cx, cy
+            i, p = i + 1, p + 1
     return out
 
 
@@ -153,6 +183,34 @@ class SweepResult:
     summary: list
 
 
+def _worker_count(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, at most one per task."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
+
+
+def _run_cell(task) -> SweepRow:
+    """One sweep run: perturb, integrate, extract, score.
+
+    Module-level with picklable arguments, so worker processes can run it
+    under any start method.
+    """
+    pat, alpha, eps1, run, seed, noise_dist, M, dt, t_final, sigma_mode, merge_tol = task
+    noisy = perturb(pat, NoiseSpec(alpha, noise_dist, derive_seed(seed, 1)))
+    ps0 = ParticleSet(noisy)
+    spec = InteractionSpec(eps1=eps1, sigma_mode=sigma_mode)
+    cfg = MfiConfig(M=M, dt=dt, t_final=t_final, seed=derive_seed(seed, 2))
+    tr = mfi_simulate(ps0, spec, cfg)
+    tol = default_merge_tol(ps0, spec) if merge_tol is None else merge_tol
+    cs = extract_clusters(
+        ps0.with_positions(tr.final_positions, tr.snapshots[-1][0]), tol, spec)
+    return SweepRow(alpha, eps1, run, seed, error_measure(cs, pat), cs.n_clusters,
+                    cs.centers())
+
+
 def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
           noise_dist: str = "uniform", master_seed: int = 0,
           M: int = 10, dt: float = 0.5, t_final: float = 50.0,
@@ -160,35 +218,42 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
     """Noise/confidence sweep: perturb, integrate, extract, score.
 
     Per-cell seeds derive from (master_seed, alpha index, eps index, run), so
-    identical seeds reproduce identical tables.
+    identical seeds reproduce identical tables.  The runs are independent and
+    are spread over worker processes, one per CPU available to this process
+    (at most one per run); each worker holds one run at a time, so peak memory
+    is that of one run per worker.  Results are taken in run order, so the
+    output does not depend on how many workers there are.  Workers start
+    from a fresh interpreter that imports the caller's main module, so a
+    script that calls sweep does so under `if __name__ == "__main__":`.
     """
     alphas = list(alphas)
     eps1_list = list(eps1_list)
     if not alphas or not eps1_list or runs_per_cell < 1:
         raise ConfigError("alphas, eps1_list and runs_per_cell must be nonempty")
-    rows = []
+    tasks = [(pat, alpha, eps1, run, derive_seed(master_seed, ai, ei, run),
+              noise_dist, M, dt, t_final, sigma_mode, merge_tol)
+             for ai, alpha in enumerate(alphas)
+             for ei, eps1 in enumerate(eps1_list)
+             for run in range(runs_per_cell)]
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        rows = list(map(_run_cell, tasks))
+    else:
+        # Imported here: bcclust.cli imports this module, and a fresh import
+        # of the process pool would add to every command's start-up.  Workers
+        # are spawned, not forked: this process may already run BLAS threads.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as ex:
+            rows = list(ex.map(_run_cell, tasks))
+    cells = (rows[i:i + runs_per_cell] for i in range(0, len(rows), runs_per_cell))
     summary = []
-    for ai, alpha in enumerate(alphas):
-        cell_means = []
-        for ei, eps1 in enumerate(eps1_list):
-            errs, counts = [], []
-            for run in range(runs_per_cell):
-                seed = derive_seed(master_seed, ai, ei, run)
-                noisy = perturb(pat, NoiseSpec(alpha, noise_dist, derive_seed(seed, 1)))
-                ps0 = ParticleSet(noisy)
-                spec = InteractionSpec(eps1=eps1, sigma_mode=sigma_mode)
-                cfg = MfiConfig(M=M, dt=dt, t_final=t_final, seed=derive_seed(seed, 2))
-                tr = mfi_simulate(ps0, spec, cfg)
-                tol = default_merge_tol(ps0, spec) if merge_tol is None else merge_tol
-                cs = extract_clusters(
-                    ps0.with_positions(tr.final_positions, tr.snapshots[-1][0]),
-                    tol, spec)
-                err = error_measure(cs, pat)
-                rows.append(SweepRow(alpha, eps1, run, seed, err, cs.n_clusters,
-                                     cs.centers()))
-                errs.append(err)
-                counts.append(cs.n_clusters)
-            cell_means.append((eps1, float(np.mean(errs)), float(np.mean(counts))))
+    for alpha in alphas:
+        cell_means = [(eps1, float(np.mean([r.error for r in cell])),
+                       float(np.mean([r.n_clusters for r in cell])))
+                      for eps1, cell in zip(eps1_list, cells)]
         best_eps = min(cell_means, key=lambda c: c[1])[0]
         for eps1, mean_err, mean_cnt in cell_means:
             summary.append(SweepSummary(alpha, eps1, mean_err, mean_cnt,

@@ -1,8 +1,9 @@
-"""Brute-force reference implementations of the interaction gate.
+"""Brute-force reference implementations of the interaction gate and of the
+shape noise injection.
 
 Each answers one question a particle at a time or over the whole (n, n)
 matrix, the way the model is written down, so tests can compare the
-package's blocked and cell-list code against them.
+package's blocked, cell-list and block-drawn code against them.
 """
 
 from __future__ import annotations
@@ -73,3 +74,22 @@ def dense_drift(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
     sigma = np.full(ps.n, float(ps.n)) if spec.sigma_mode == "symmetric" else deg
     x = ps.positions
     return (mask.astype(float) @ x - deg[:, None] * x) / sigma[:, None]
+
+
+def perturb_loop(pat, ns) -> np.ndarray:
+    """The noise injection of `bcclust.shapes.perturb` a point and a draw at
+    a time: x + alpha * theta with theta drawn afresh until the candidate
+    lies inside [0,1]^2."""
+    rng = np.random.default_rng(ns.seed)
+    out = np.empty_like(pat.points)
+    for i, x in enumerate(pat.points):
+        while True:
+            if ns.dist == "uniform":
+                theta = rng.uniform(-1.0, 1.0, size=2)
+            else:
+                theta = rng.standard_normal(2)
+            cand = x + ns.alpha * theta
+            if np.all((cand >= 0.0) & (cand <= 1.0)):
+                out[i] = cand
+                break
+    return out

@@ -106,6 +106,14 @@ class TestShapeCommand:
     def test_missing_lists_usage_error(self, tmp_path):
         assert run(["shape", "--out-dir", str(tmp_path)]) == 2
 
+    def test_config_error_in_a_worker_is_usage_error(self, tmp_path, monkeypatch):
+        from bcclust import shapes
+
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 2)
+        assert run(["shape", "--n", "5", "--M", "10", "--alpha-list", "0.05",
+                    "--eps1-list", "0.1", "--runs", "2", "--t-final", "1",
+                    "--out-dir", str(tmp_path)]) == 2
+
 
 class TestSegmentCommand:
     def make_quadrant(self, tmp_path, side=8):
@@ -159,16 +167,29 @@ class TestBenchCommand:
         assert run(["bench", "--out-dir", str(tmp_path)]) == 2
 
 
+def modules_after_cli_import(*names):
+    """Which of the given modules (and their submodules) a fresh interpreter
+    has loaded after `import bcclust.cli`."""
+    import bcclust
+
+    src = os.path.dirname(os.path.dirname(bcclust.__file__))
+    code = (f"import sys, bcclust.cli; names = {names!r}; "
+            "print(sorted(m for m in sys.modules "
+            "if any(m == n or m.startswith(n + '.') for n in names)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    return out.strip()
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         """scipy is imported inside the functions that use it: loading it with
         the CLI would more than double the start-up time of every command."""
-        import bcclust
+        assert modules_after_cli_import("scipy") == "[]"
 
-        src = os.path.dirname(os.path.dirname(bcclust.__file__))
-        code = ("import sys, bcclust.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "[]"
+    def test_cli_import_loads_no_process_pool(self):
+        """The sweep imports its process pool when it runs: every command
+        would otherwise pay for that import at start-up."""
+        assert modules_after_cli_import(
+            "multiprocessing", "concurrent.futures.process") == "[]"

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bcclust import dynamics
 from bcclust.imageseg import segment
+from bcclust.mfi import MfiConfig
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import (
     IntegratorConfig,
@@ -46,6 +47,27 @@ class TestIntegratorConfig:
     def test_t_final_at_least_dt(self):
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=0.5, t_final=0.1)
+
+    @pytest.mark.parametrize("make", [
+        lambda **kw: IntegratorConfig(**kw),
+        lambda **kw: MfiConfig(M=3, seed=0, **kw),
+    ], ids=["euler", "mfi"])
+    @pytest.mark.parametrize("kw, message", [
+        (dict(dt=0.0, t_final=1.0), "dt must be in (0, 1], got 0.0"),
+        (dict(dt=0.5, t_final=0.1), "t_final must be at least dt"),
+        (dict(dt=0.5, t_final=1.0, record_every=0),
+         "record_every must be a positive integer"),
+    ])
+    def test_shared_schedule_checks(self, make, kw, message):
+        """Both integrators' configs reject a bad dt, t_final or
+        record_every with the same message."""
+        with pytest.raises(ConfigError) as exc:
+            make(**kw)
+        assert str(exc.value) == message
+
+    def test_stop_tol_nonnegative(self):
+        with pytest.raises(ConfigError, match="stop_tol"):
+            IntegratorConfig(dt=0.5, t_final=1.0, stop_tol=-1.0)
 
 
 class TestEulerStep:

@@ -1,9 +1,13 @@
 """Pattern sampling, noise injection, detection error, sweep plumbing."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcclust import shapes
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import extract_clusters
 from bcclust.shapes import (
@@ -17,6 +21,7 @@ from bcclust.shapes import (
     sample_segments,
     sweep,
 )
+from oracles import perturb_loop
 
 
 def point_to_segment_distance(p, a, b):
@@ -107,6 +112,32 @@ class TestPerturb:
         b = perturb(pat, NoiseSpec(0.05, "gaussian", seed=9))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("dist", ["uniform", "gaussian"])
+    def test_matches_point_loop(self, alpha, dist):
+        """Block draws hand out the same pairs in the same order as drawing
+        one pair per attempt; at alpha=0.6 rejections are common."""
+        pats = (generate_letter_A(2000), generate_letter_A(5),
+                sample_segments((((0.0, 0.0), (1.0, 1.0)),), 300))
+        for pat in pats:
+            for seed in (0, 1, 17, 2**40 + 3):
+                ns = NoiseSpec(alpha, dist, seed)
+                np.testing.assert_array_equal(perturb(pat, ns), perturb_loop(pat, ns))
+
+    def test_no_slower_than_point_loop_when_rejecting(self):
+        pat = generate_letter_A(5000)
+        ns = NoiseSpec(0.6, "uniform", seed=2)
+
+        def best_of_3(f):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                f(pat, ns)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best_of_3(perturb) <= best_of_3(perturb_loop)
+
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
             NoiseSpec(alpha=0.0)
@@ -172,3 +203,27 @@ class TestSweep:
         pat = generate_letter_A(10)
         with pytest.raises(ConfigError):
             sweep(pat, [], [0.1], 1)
+
+    def test_worker_count(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert shapes._worker_count(1) == 1
+        assert shapes._worker_count(10**6) == cpus
+
+    def test_same_result_with_one_and_two_workers(self, monkeypatch):
+        pat = generate_letter_A(200)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(shapes, "_worker_count", lambda n, w=workers: w)
+            results.append(sweep(pat, [0.05, 0.1], [0.1, 0.2], 2,
+                                 master_seed=3, t_final=4.0))
+        one, two = results
+        assert one.summary == two.summary
+        assert one.rows == two.rows
+        for a, b in zip(one.rows, two.rows):
+            np.testing.assert_array_equal(a.centers, b.centers)
+
+    def test_config_error_in_a_worker(self, monkeypatch):
+        """M >= n fails inside a run; the pool re-raises it as ConfigError."""
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 2)
+        with pytest.raises(ConfigError, match="exceeds"):
+            sweep(generate_letter_A(5), [0.05], [0.1], 2, M=10, t_final=1.0)
