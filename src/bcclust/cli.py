@@ -230,36 +230,55 @@ _BENCH_CASTS = dict(n_list=_int_list, M_list=_int_list, steps=int,
                     eps1=float, seed=int)
 
 
-def _time_step(n: int, M: int, steps: int, eps1: float, seed: int) -> float:
-    """Best wall-clock seconds per step; M >= n benches the full Euler step.
+_BENCH_BURST = 3
+
+
+def _time_grid(grid: list, steps: int, eps1: float, seed: int) -> list:
+    """Best wall-clock seconds per step for each (n, M) of grid; M >= n
+    benches the full Euler step.
 
     The minimum over steps is the standard interference-robust estimator:
-    scheduling noise only ever inflates a sample.
+    scheduling noise only ever inflates a sample.  The cells take turns of up
+    to _BENCH_BURST timed steps each, so a slow spell of the host falls on
+    every cell alike instead of on the one that happens to be running.  A
+    turn's first step brings the cell's arrays back into cache and is not
+    timed.
     """
-    rng = np.random.default_rng(derive_seed(seed, n, M))
-    ps = ParticleSet(rng.uniform(0.0, 1.0, size=(n, 1)))
     spec = InteractionSpec(eps1=eps1, sigma_mode="stochastic")
-    full = M >= n
-    cfg = None if full else MfiConfig(M=M, dt=0.5, t_final=1.0, seed=seed)
-    times = []
-    for k in range(steps + 1):  # first iteration warms caches, then measure
-        t0 = time.perf_counter()
-        ps = euler_step(ps, spec, 0.5) if full else mfi_step(ps, spec, cfg, k)
-        if k > 0:
-            times.append(time.perf_counter() - t0)
-    return float(np.min(times))
+    runs = []
+    for n, M in grid:
+        rng = np.random.default_rng(derive_seed(seed, n, M))
+        ps = ParticleSet(rng.uniform(0.0, 1.0, size=(n, 1)))
+        cfg = None if M >= n else MfiConfig(M=M, dt=0.5, t_final=1.0, seed=seed)
+        runs.append([ps, cfg])
+    best = [np.inf] * len(runs)
+    k = 0
+    for left in range(steps, 0, -_BENCH_BURST):
+        burst = min(_BENCH_BURST, left)
+        for c, run in enumerate(runs):
+            ps, cfg = run
+            for j in range(burst + 1):
+                t0 = time.perf_counter()
+                ps = (euler_step(ps, spec, 0.5) if cfg is None
+                      else mfi_step(ps, spec, cfg, k + j))
+                if j > 0:
+                    best[c] = min(best[c], time.perf_counter() - t0)
+            run[0] = ps
+        k += burst + 1
+    return best
 
 
 def cmd_bench(args) -> int:
     p = _resolve(args, _BENCH_DEFAULTS, _BENCH_CASTS)
     if not p["n_list"] or not p["M_list"]:
         raise ConfigError("--n-list and --M-list must be nonempty")
+    if p["steps"] < 1:
+        raise ConfigError("--steps must be at least 1")
+    grid = [(n, M) for n in p["n_list"] for M in p["M_list"]]
     rows = []
-    for n in p["n_list"]:
-        for M in p["M_list"]:
-            sec = _time_step(n, M, p["steps"], p["eps1"], p["seed"])
-            rows.append([n, M, sec])
-            print(f"n={n} M={M}: {sec * 1e3:.3f} ms/step")
+    for (n, M), sec in zip(grid, _time_grid(grid, p["steps"], p["eps1"], p["seed"])):
+        rows.append([n, M, sec])
+        print(f"n={n} M={M}: {sec * 1e3:.3f} ms/step")
     bio._write_csv(_out(p, "bench.csv"), ["n", "M", "seconds_per_step"], rows)
     p["command"] = "bench"
     p["n_list"] = " ".join(str(v) for v in p["n_list"])

@@ -30,6 +30,11 @@ _C_CAND = _U(0x8CB92BA72F3D8DD7)
 # rounds of keyed draws.
 _ENUMERATE = 4
 _ROUNDS = 4
+# Neighborhood draws run in blocks of about _BLOCK draws (rows * M), so their
+# (M, rows) temporaries stay at 2 MiB whatever n and M are, and the cost per
+# draw does not jump once M * n outgrows the caches.  A row does not depend
+# on the other rows of its block.
+_BLOCK = 1 << 18
 
 
 def _fmix(z):
@@ -118,7 +123,13 @@ class RngStream:
             raise ConfigError(f"subset size {M} must be in [1, n-1] = [1, {n - 1}]")
         keys = _particle_keys(self.seed, step, particles)
         if pool is not None:
-            return self._from_pool(keys, particles, M, pool, every)
+            rows = max(1, _BLOCK // M)
+            parts = []
+            for a in range(0, len(particles), rows):
+                b = slice(a, a + rows)
+                parts.append(self._from_pool(keys[b], particles[b], M, pool,
+                                             b if every else particles[b]))
+            return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
         if 2 * M <= n - 1:
             return self._reject(keys, particles, n, M)
         return self._fisher_yates(keys, particles, n, M)
@@ -146,15 +157,15 @@ class RngStream:
         # row-major, as callers' reductions over a row depend on the layout
         return np.ascontiguousarray(out.T)
 
-    def _from_pool(self, keys, particles, M, pool, every):
+    def _from_pool(self, keys, particles, M, pool, sel):
         # A row's candidates are its pool less i, numbered 0..size-1 in pool
         # order.  Keyed draws with replacement, with repeats skipped, visit
         # them in uniformly random order; the first M that pass the gate are
         # a uniform M-subset of N_i \ {i}.  Round a draws the next M * 2**a
         # slots, for the rows still short of M.
         # Arrays are laid out (slot, row): each slot is one contiguous vector.
-        # Slices stand in for index arrays that would select every row.
-        sel = slice(None) if every else particles
+        # sel picks the pool rows of `particles`; slices stand in for index
+        # arrays that would select a run of rows.
         lo, hi = pool.lo[sel], pool.hi[sel]
         lens = hi - lo
         end = np.cumsum(lens, axis=1)
@@ -205,7 +216,7 @@ class RngStream:
         if scan.size:
             out[:, scan] = self._scan_pool(keys[scan], particles[scan], M, pool,
                                            lo[scan], lens[scan])
-        return out.T
+        return out
 
     @staticmethod
     def _scan_pool(keys, particles, M, pool, lo, lens):

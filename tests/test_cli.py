@@ -166,6 +166,23 @@ class TestBenchCommand:
     def test_missing_lists(self, tmp_path):
         assert run(["bench", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("steps", ["1", "4"])
+    def test_every_cell_timed(self, tmp_path, steps):
+        """Cells take turns of up to three timed steps; a last, shorter turn
+        still times every cell."""
+        out = tmp_path / "out"
+        assert run(["bench", "--n-list", "64 128", "--M-list", "3 6 200",
+                    "--steps", steps, "--out-dir", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "bench.csv").read_text().splitlines()[1:]]
+        assert [(int(n), int(M)) for n, M, _ in rows] == [
+            (n, M) for n in (64, 128) for M in (3, 6, 200)]
+        assert all(0 < float(sec) < 1 for _, _, sec in rows)
+
+    def test_steps_must_be_positive(self, tmp_path):
+        assert run(["bench", "--n-list", "64", "--M-list", "3", "--steps", "0",
+                    "--out-dir", str(tmp_path)]) == 2
+
 
 def modules_after_cli_import(*names):
     """Which of the given modules (and their submodules) a fresh interpreter

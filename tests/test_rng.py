@@ -8,6 +8,7 @@ from scipy.stats import chi2
 from bcclust.cells import candidate_pool
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from oracles import neighborhood
+from bcclust import rng as rng_module
 from bcclust.rng import RngStream, derive_seed
 
 
@@ -166,6 +167,25 @@ class TestNeighborhoodSubsets:
             np.testing.assert_array_equal(s.subset(3, i, ps.n, 6, pool=pool), batch[i])
         part = s.subsets(3, ps.n, 6, particles=np.array([5, 17, 33]), pool=pool)
         np.testing.assert_array_equal(part, batch[[5, 17, 33]])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("d1, d2", [(1, 0), (2, 1)])
+    def test_blocks_match_one_block(self, monkeypatch, block, d1, d2):
+        """Rows drawn a few at a time equal the rows drawn all at once, for
+        every particle and for a chosen few."""
+        rng = np.random.default_rng(4)
+        ps = ParticleSet(rng.uniform(0, 1, (300, d1)),
+                         rng.uniform(0, 1, (300, d2)) if d2 else None)
+        spec = InteractionSpec(eps1=0.3, eps2=0.5, sigma_mode="stochastic")
+        pool = candidate_pool(ps, spec)
+        s = RngStream(8)
+        some = np.array([299, 3, 150, 4, 77])
+        whole = s.subsets(2, ps.n, 6, pool=pool)
+        part = s.subsets(2, ps.n, 6, particles=some, pool=pool)
+        monkeypatch.setattr(rng_module, "_BLOCK", block)
+        np.testing.assert_array_equal(s.subsets(2, ps.n, 6, pool=pool), whole)
+        np.testing.assert_array_equal(
+            s.subsets(2, ps.n, 6, particles=some, pool=pool), part)
 
     @pytest.mark.parametrize("n, d1, eps1", [(200, 1, 0.5), (60, 1, 0.4), (150, 2, 0.4)])
     def test_marginal_counts_are_flat(self, n, d1, eps1):
