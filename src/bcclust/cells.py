@@ -1,4 +1,5 @@
-"""Cell-list candidate pools: every gated neighborhood inside a few index ranges.
+"""Cell lists: candidate pools that hold every gated neighborhood in a few index
+ranges, and the exact component finder of a gate.
 
 The gated coordinates are the positions (cell side eps1) and, when eps2 is
 finite, the features (cell side eps2); a coordinate whose confidence level is
@@ -14,12 +15,17 @@ exactly N_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .model import InteractionSpec, ParticleSet, _within
+from .model import InteractionSpec, ParticleSet, _within, bbox_diameter
+
+# Member pairs cross-checked at once by components(): each pair costs a few
+# int64 indices and floats, so a batch stays near 2**18 * 40 B = 10 MiB.
+_CROSS_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -67,15 +73,17 @@ def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:
         return _line_pool(ps, spec, last, eps_last, norm_last)
 
     # Cells are a hair wider than eps, so rounding never puts two particles
-    # within eps of each other two cells apart.  Cells per row dimension are
-    # capped so the packed row id fits in int64.
+    # within eps of each other two cells apart, and at least 2**-511 wide: a
+    # smaller euclidean gap squares to a subnormal or zero, so it can pass a
+    # gate of smaller eps.  Cells per row dimension are capped so the packed
+    # row id fits in int64.
     max_cells = 2 ** (60 // len(rows))
     row_id = np.zeros(n, dtype=np.int64)
     strides = []
     stride = 1
     for c, e, _ in rows:
         lo_c = c.min()
-        side = max(e * (1 + 1e-9), (c.max() - lo_c) / max_cells) or 1.0
+        side = max(e * (1 + 1e-9), 2.0**-511, (c.max() - lo_c) / max_cells)
         # cells start at 1, so the rows one cell beyond either end pack too
         cell = np.floor((c - lo_c) / side).astype(np.int64) + 1
         row_id += cell * stride
@@ -157,3 +165,135 @@ def _line_pool(ps, spec, last, eps, norm) -> CandidatePool:
     rank = np.empty(srt.size, dtype=np.int64)
     rank[order] = p
     return CandidatePool(ps, spec, order, lo[rank, None], hi[rank, None], rank, 0, True)
+
+
+def components(groups, n: int) -> np.ndarray:
+    """Connected-component label of each of n particles under a gate.
+
+    groups: (points, tol, norm) triples, points an (n, d) array.  Particles i
+    and j are joined when _within(points, i, j, tol, norm) holds in every
+    group.  A group whose tol is infinite, or whose bounding box lies within
+    tol, joins every pair.  Components are numbered by their lowest member.
+    They are exact but for euclidean tolerances below 2**-511, where squared
+    gaps underflow.
+
+    This is grid-based exact single linkage, as in grid DBSCAN (Gan & Tao,
+    SIGMOD 2015).  Two particles sharing a cell are always joined.  Two cells
+    a stencil offset apart are joined only if a cross check, in batches of
+    about _CROSS_PAIRS member pairs, finds a member pair that passes the
+    gate.  A cell pair already joined through others is skipped, so a large
+    pair stops at the first chunk of rows that finds one.
+    """
+    gated = [(p, tol, norm) for p, tol, norm in groups if bbox_diameter(p, norm) > tol]
+    if not gated:
+        return np.zeros(n, dtype=np.intp)
+    alone = sum(p.shape[1] for p, _, _ in gated) == 1
+    cols = [_cell_column(c, tol, p.shape[1], norm, alone)
+            for p, tol, norm in gated for c in p.T]
+
+    # One integer key per cell, each digit padded by its reach so that a key
+    # plus a stencil offset never carries into the next digit.
+    strides, stride = [], 1
+    for q, r in cols:
+        strides.append(stride)
+        stride *= int(q.max()) + 2 * r + 1
+    dtype = np.int64 if stride < 2**63 else object
+    key = sum((q + r).astype(dtype) * s for (q, r), s in zip(cols, strides))
+    cells, cell_of = np.unique(key, return_inverse=True)
+    m = cells.size
+    order = np.argsort(cell_of, kind="stable")
+    size = np.bincount(cell_of, minlength=m)
+    start = np.cumsum(size) - size
+
+    # Adjacent cell pairs, one stencil offset at a time; of each offset and
+    # its negation only the one with a positive key step is needed.
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for off in product(*(range(-r, r + 1) for _, r in cols)):
+        step = sum(o * s for o, s in zip(off, strides))
+        if step > 0:
+            at = np.minimum(np.searchsorted(cells, cells + step), m - 1)
+            hit = np.flatnonzero(cells[at] == cells + step)
+            pairs.append(np.stack([hit, at[hit]]))
+    a, b = np.concatenate(pairs, axis=1)
+
+    # Each pair is split into units of rows of its first cell, at most
+    # _CROSS_PAIRS member pairs each unless a single row is longer, and the
+    # cheapest units go first.
+    rows = np.maximum(1, _CROSS_PAIRS // size[b])
+    per = -(-size[a] // rows)
+    u = np.repeat(np.arange(a.size), per)
+    r0 = (np.arange(u.size) - np.repeat(np.cumsum(per) - per, per)) * rows[u]
+    pend = np.stack([a[u], b[u], r0, np.minimum(r0 + rows[u], size[a][u])])
+    pend = pend[:, np.argsort((pend[3] - pend[2]) * size[pend[1]], kind="stable")]
+    root = np.arange(m)
+    while pend.shape[1]:
+        pend = pend[:, root[pend[0]] != root[pend[1]]]
+        cost = np.cumsum((pend[3] - pend[2]) * size[pend[1]])
+        take = max(1, int(np.searchsorted(cost, _CROSS_PAIRS, side="right")))
+        (ca, cb, lo, hi), pend = pend[:, :take], pend[:, take:]
+        nb = size[cb]
+        cnt = (hi - lo) * nb
+        k = np.repeat(np.arange(ca.size), cnt)
+        t = np.arange(k.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        i = order[(start[ca] + lo)[k] + t // nb[k]]
+        j = order[start[cb][k] + t % nb[k]]
+        ok = np.ones(k.size, dtype=bool)
+        for p, tol, norm in gated:
+            ok &= _within(p, i, j, tol, norm)
+        hit = np.bincount(k[ok], minlength=ca.size) > 0
+        root = _link(root, ca[hit], cb[hit])
+
+    comp = root[cell_of]
+    _, first, inv = np.unique(comp, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv]
+
+
+def _cell_column(col, tol, dim, norm, alone):
+    """Cell index of each value of one coordinate of a gated group, and the
+    reach: how many cells apart two values within tol can fall.
+
+    The sorted values are cut into runs wherever a gap fails the gate of
+    this coordinate alone.  A pair within tol in the group lies in one run,
+    as every gap between its two values is at most their own difference.
+    If this is the only gated coordinate, a run is a component and makes
+    one cell.  Otherwise each run is gridded from its lowest value, and the
+    runs are laid end to end, reach + 1 empty cells apart, so cells of two
+    runs are never adjacent and the indices stay below about n * (dim + 3).
+    """
+    n = col.size
+    order = np.argsort(col, kind="stable")
+    x = col[order]
+    new = np.concatenate(([True], ~_within(x[:, None], np.arange(n - 1),
+                                           np.arange(1, n), tol, norm)))
+    run = np.cumsum(new) - 1
+    off = x - x[new][run]
+    if off.any() and not alone:
+        side = tol / {"euclidean": math.sqrt(dim), "max": 1.0, "manhattan": dim}[norm]
+        # Only a gate whose squared gaps underflow (tol below ~1e-154) lets
+        # a run outgrow 2**40 cells, and there this floor gives up exactness.
+        side = max(side, float(off.max()) * 2.0**-40)
+        # floor(x / side) rounds: floor(0.3 / 0.1) = 2 but floor(0.5 / 0.1) =
+        # 5, so values exactly 0.2 apart can fall three cells apart.  A cell
+        # index is off by at most `slack` cells; shrinking the side by it keeps
+        # same-cell pairs within tol, widening the reach covers all within tol.
+        slack = 2.0**-50 * (float(off.max()) / side + (dim + 2) ** 2)
+        side *= 1.0 - slack
+        q = np.floor(off / side).astype(np.int64)
+        reach = math.ceil(tol / side + slack)
+    else:
+        q, reach = np.zeros(n, dtype=np.int64), 0
+    width = np.maximum.reduceat(q, np.flatnonzero(new)) + reach + 1
+    cell = np.empty(n, dtype=np.int64)
+    cell[order] = (np.cumsum(width) - width)[run] + q
+    return cell, reach
+
+
+def _link(root, a, b):
+    """root, each cell's lowest linked cell, once cell a[k] is also linked to
+    b[k] for every k."""
+    while (move := root[a] != root[b]).any():
+        ra, rb = root[a[move]], root[b[move]]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root

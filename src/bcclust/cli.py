@@ -2,9 +2,10 @@
 
 Subcommands: simulate (steady states / moment evolution), shape (letter
 detection sweeps), segment (grayscale images), bench (step-time scaling).
-Every run writes a manifest echoing all resolved parameters; rerunning from a
-manifest reproduces the outputs bit-for-bit.  Parameter precedence: flags
-override --config file entries, which override built-in defaults.
+Every run writes a manifest echoing all resolved parameters (unset ones are
+left out); rerunning with --config set to a manifest reproduces the outputs
+bit-for-bit.  Parameter precedence: flags override --config file entries,
+which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -28,28 +29,21 @@ from .shapes import generate_letter_A, load_segments, sample_segments, sweep
 _EXIT_OK, _EXIT_RUNTIME, _EXIT_USAGE = 0, 1, 2
 
 
-def _read_config(path) -> dict:
-    cfg = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            k, v = line.split("=", 1)
-            cfg[k.strip().replace("-", "_")] = v.strip()
-    return cfg
-
-
 def _resolve(args, defaults: dict, casts: dict) -> dict:
-    """flags > config file > defaults.  Returns the fully resolved dict."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    """flags > config file (a manifest, say; '-' in keys read as '_') >
+    defaults.  Returns the fully resolved dict; a bad config value is a
+    ConfigError."""
+    cfg = {}
+    if getattr(args, "config", None):
+        cfg = {k.replace("-", "_"): v for k, v in bio.read_manifest(args.config).items()}
     out = {}
     for key, dflt in defaults.items():
         val = getattr(args, key, None)
         if val is None and key in cfg:
-            val = casts.get(key, str)(cfg[key])
+            try:
+                val = casts.get(key, str)(cfg[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{args.config}: {key} = {cfg[key]!r}: {exc}") from None
         if val is None:
             val = dflt
         out[key] = val
@@ -175,8 +169,8 @@ def cmd_shape(args) -> int:
         bio._write_csv(_out(p, name), ["center_1", "center_2"],
                        ([*c] for c in r.centers))
     p["command"] = "shape"
-    p["alpha_list"] = " ".join(f"{a:g}" for a in p["alpha_list"])
-    p["eps1_list"] = " ".join(f"{e:g}" for e in p["eps1_list"])
+    p["alpha_list"] = " ".join(map(str, p["alpha_list"]))
+    p["eps1_list"] = " ".join(map(str, p["eps1_list"]))
     bio.write_manifest(_out(p, "manifest.txt"), p)
     best = [s for s in result.summary if s.best]
     for s in best:

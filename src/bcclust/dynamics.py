@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cells import components
 from .model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
     _reduce_abs_diff,
-    _within,
     _within_mask,
     bbox_diameter,
     distances_to,
@@ -113,43 +112,26 @@ def _row_chunks(m: int):
     return [slice(s, min(s + step, m)) for s in range(0, m, step)]
 
 
-def _feature_labels(f: np.ndarray, eps: float, norm: str) -> np.ndarray:
-    """Connected-component label of each value of a one-column f under the
-    feature gate.
-
-    In one coordinate the gate is monotone along the sorted order, so a
-    component is a run of sorted neighbours that pass it.
-    """
-    n = f.shape[0]
-    order = np.argsort(f[:, 0], kind="stable")
-    cut = ~_within(f[order], np.arange(n - 1), np.arange(1, n), eps, norm)
-    labels = np.empty(n, dtype=np.intp)
-    labels[order] = np.concatenate(([0], np.cumsum(cut)))
-    return labels
+def _members(labels: np.ndarray) -> list:
+    """Sorted member indices of each component of a labelling, in label order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
     """The static-feature components of ps, the independent blocks of the drift.
 
     Two particles in different components never interact, and features never
-    move, so the components hold for a whole run.  Returns one (idx, fmask)
-    pair per component of two or more particles: idx its sorted indices, fmask
-    its own (|C|, |C|) feature gate, or None when the component's feature
-    bounding box lies within eps2 and every pair passes.  A particle alone in
-    its component has zero drift and is left out.
-
-    Components are split only for one feature; with two or more the whole set
-    is one block, gated by its full feature mask.
+    move, so the components hold for a whole run.  They are found by
+    cells.components for any number of features.  Returns one (idx, fmask)
+    pair per component of two or more particles, in the order of their lowest
+    members: idx its sorted indices, fmask its own (|C|, |C|) feature gate, or
+    None when the component's feature bounding box lies within eps2 and every
+    pair passes.  A particle alone in its component has zero drift and is
+    left out.
     """
-    n = ps.n
-    if ps.d2 == 1 and np.isfinite(spec.eps2):
-        labels = _feature_labels(ps.features, spec.eps2, spec.norm2)
-        order = np.argsort(labels, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    else:
-        groups = [np.arange(n)]
     blocks = []
-    for idx in groups:
+    for idx in _members(components([(ps.features, spec.eps2, spec.norm2)], ps.n)):
         if idx.size < 2:
             continue
         f = ps.features[idx]
@@ -251,9 +233,10 @@ def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
 def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig) -> Trajectory:
     """Iterate euler_step to t_final (or early stop), recording snapshots and moments.
 
-    The static-feature blocks are found once, before the first step.  A step
-    then costs O(|C|^2) for each block C that has not collapsed within eps1
-    and O(|C|) for each one that has.
+    The static-feature blocks (see _feature_blocks) are found once, before
+    the first step, for any number of features.  A step then costs O(|C|^2)
+    for each block C that has not collapsed within eps1 and O(|C|) for each
+    one that has.
     """
     meta = {"method": "euler", "dt": cfg.dt, "t_final": cfg.t_final,
             "sigma_mode": spec.sigma_mode}
@@ -273,156 +256,38 @@ def default_merge_tol(ps: ParticleSet, spec: InteractionSpec) -> float:
     return 1e-3 * diam if diam > 0 else 1e-9
 
 
-class _DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
-def _cell_side(tol: float, dim: int, norm: str) -> float:
-    # Side length such that any two points sharing a cell are within tol.
-    if dim == 0:
-        return tol
-    if norm == "euclidean":
-        return tol / math.sqrt(dim)
-    if norm == "max":
-        return tol
-    return tol / dim  # manhattan
-
-
-def _pair_within(pa, pb, fa, fb, tol, eps2, norm1, norm2):
-    """True if any cross pair satisfies both gates.  Scans in blocks, early exit."""
-    block = 512
-    for s in range(0, pa.shape[0], block):
-        dp = np.abs(pa[s:s + block, None, :] - pb[None, :, :])
-        ok = _reduce_abs_diff(dp, norm1, axis=-1) <= tol
-        if fa.shape[1] > 0:
-            df = np.abs(fa[s:s + block, None, :] - fb[None, :, :])
-            ok &= _reduce_abs_diff(df, norm2, axis=-1) <= eps2
-        if ok.any():
-            return True
-    return False
-
-
 def extract_clusters(ps: ParticleSet, merge_tol: float | None,
                      spec: InteractionSpec) -> ClusterSet:
-    """Connected components of the merge graph.
+    """Connected components of the merge graph, numbered by their lowest member.
 
-    Edge (i, j) iff position distance <= merge_tol and feature distance <= eps2.
-    Components are found with a union-find over a spatial grid: cells are sized
-    so same-cell pairs are guaranteed edges, and adjacent cells are linked after
-    an explicit cross-pair check, so the result matches the brute-force graph
-    independent of traversal order.
+    Edge (i, j) iff position distance <= merge_tol and feature distance <= eps2,
+    under the direct gate model._within, ties included.  cells.components
+    finds them on a grid, the same finder that splits the Euler blocks.
+    merge_tol None means default_merge_tol(ps, spec).
     """
     if merge_tol is None:
         merge_tol = default_merge_tol(ps, spec)
     if merge_tol <= 0:
         raise ConfigError("merge_tol must be positive")
-    n = ps.n
-    use_features = ps.d2 > 0 and np.isfinite(spec.eps2) and (
-        bbox_diameter(ps.features, spec.norm2) > spec.eps2
-    )
-    pos = ps.positions
-    feat = ps.features if use_features else np.empty((n, 0))
-    eps2 = spec.eps2
-
-    s1 = _cell_side(merge_tol, ps.d1, spec.norm1)
-    cols = [np.floor(pos[:, k] / s1).astype(np.int64) for k in range(ps.d1)]
-    reach = [int(math.ceil(merge_tol / s1))] * ps.d1
-    if use_features:
-        s2 = _cell_side(eps2, feat.shape[1], spec.norm2)
-        cols += [np.floor(feat[:, k] / s2).astype(np.int64) for k in range(feat.shape[1])]
-        reach += [int(math.ceil(eps2 / s2))] * feat.shape[1]
-
-    keys = list(zip(*(c.tolist() for c in cols)))
-    cells: dict[tuple, list] = {}
-    for idx, key in enumerate(keys):
-        cells.setdefault(key, []).append(idx)
-
-    dsu = _DisjointSet(n)
-    for members in cells.values():
-        first = members[0]
-        for other in members[1:]:
-            dsu.union(first, other)
-
-    offsets = _neighbor_offsets(reach)
-    for key, members in cells.items():
-        a = np.asarray(members)
-        for off in offsets:
-            other = tuple(k + o for k, o in zip(key, off))
-            if other not in cells:
-                continue
-            b = np.asarray(cells[other])
-            if dsu.find(members[0]) == dsu.find(cells[other][0]):
-                continue
-            if _pair_within(pos[a], pos[b], feat[a], feat[b],
-                            merge_tol, eps2, spec.norm1, spec.norm2):
-                dsu.union(members[0], cells[other][0])
-
-    roots: dict[int, list] = {}
-    for i in range(n):
-        roots.setdefault(dsu.find(i), []).append(i)
-
+    labels = components([(ps.positions, merge_tol, spec.norm1),
+                         (ps.features, spec.eps2, spec.norm2)], ps.n)
     clusters = []
-    for members in sorted(roots.values(), key=lambda m: m[0]):
-        idx = np.asarray(members)
-        center = pos[idx].mean(axis=0)
+    for idx in _members(labels):
         f = ps.features[idx]
-        clusters.append(Cluster(
-            center=center,
-            members=idx,
-            weight=len(idx) / n,
-            feature_mean=f.mean(axis=0) if ps.d2 else np.empty(0),
-            feature_min=f.min(axis=0) if ps.d2 else np.empty(0),
-            feature_max=f.max(axis=0) if ps.d2 else np.empty(0),
-        ))
+        stats = ((f.mean(axis=0), f.min(axis=0), f.max(axis=0)) if ps.d2
+                 else (np.empty(0),) * 3)
+        clusters.append(Cluster(ps.positions[idx].mean(axis=0), idx,
+                                len(idx) / ps.n, *stats))
     return ClusterSet(clusters, ps.features, spec)
 
 
-def _neighbor_offsets(reach):
-    """Nonzero lattice offsets within reach, one of each +/- pair."""
-    grids = np.meshgrid(*(np.arange(-r, r + 1) for r in reach), indexing="ij")
-    offs = np.stack([g.ravel() for g in grids], axis=1)
-    out = []
-    for off in offs:
-        t = tuple(int(v) for v in off)
-        if any(v != 0 for v in t) and t > tuple(-v for v in t):
-            out.append(t)
-    return out
-
-
 def _min_feature_gap(fa: np.ndarray, fb: np.ndarray, norm: str) -> float:
-    """Minimum cross distance between two static-feature sets."""
-    if fa.shape[1] == 0:
-        return 0.0
-    from scipy.spatial import cKDTree
-
-    p = {"euclidean": 2, "manhattan": 1, "max": np.inf}[norm]
-    if fb.shape[0] > fa.shape[0]:
-        fa, fb = fb, fa
-    tree = cKDTree(fb)
-    d, _ = tree.query(fa, k=1, p=p)
-    return float(np.min(d))
+    """Minimum cross distance between two static-feature sets, scanned in row
+    chunks of at most _CHUNK_PAIRS coordinate differences."""
+    step = max(1, _CHUNK_PAIRS // fb.size)
+    return min(float(_reduce_abs_diff(np.abs(fa[s:s + step, None] - fb[None]),
+                                      norm, axis=2).min())
+               for s in range(0, fa.shape[0], step))
 
 
 def _sorted_gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -249,19 +249,21 @@ def read_particles_csv(path) -> ParticleSet:
 # -- manifests ----------------------------------------------------------------
 
 def write_manifest(path, params: dict) -> None:
-    lines = [f"{k} = {params[k]}" for k in sorted(params)]
+    """'key = value' lines in key order; a None value (unset) is left out."""
+    lines = [f"{k} = {v}" for k, v in sorted(params.items()) if v is not None]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> dict:
+    """A manifest or config file's 'key = value' lines as a dict of strings."""
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}: malformed line {line!r}")
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             k, v = line.split("=", 1)
             out[k.strip()] = v.strip()
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import candidate_pool
-from .model import ConfigError, InteractionSpec, ParticleSet, _reduce_abs_diff
+from .model import ConfigError, InteractionSpec, ParticleSet, _within
 from .rng import RngStream
 from .dynamics import Trajectory, _check_schedule, _run
 
@@ -40,13 +40,12 @@ class MfiConfig:
         _check_schedule(self)
 
 
-def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
-             drift_scale: float = 1.0) -> ParticleSet:
+def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int) -> ParticleSet:
     """One Monte Carlo step, reading only the step-k state.
 
-    drift_scale multiplies Abar; the default 1.0 is the algorithm proper.
-    Setting it to M/n with the full subset M = n-1 reproduces the deterministic
-    Euler step in symmetric mode, which the tests use as an oracle.
+    In symmetric mode the full subset M = n-1 at time step dt*(n-1)/n
+    reproduces the deterministic Euler step at dt, which the tests use as an
+    oracle.
     """
     n = ps.n
     if cfg.M > n - 1:
@@ -54,14 +53,11 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
     x = ps.positions
     if spec.sigma_mode == "symmetric":
         subsets = RngStream(cfg.seed).subsets(k, n, cfg.M)  # (n, M)
-        xj = x[subsets]  # (n, M, d1)
-        w = _reduce_abs_diff(np.abs(xj - x[:, None, :]), spec.norm1, axis=2) <= spec.eps1
-        if ps.d2 > 0:
-            cj = ps.features[subsets]
-            w &= _reduce_abs_diff(
-                np.abs(cj - ps.features[:, None, :]), spec.norm2, axis=2) <= spec.eps2
+        i = np.arange(n)[:, None]
+        w = (_within(x, i, subsets, spec.eps1, spec.norm1)
+             & _within(ps.features, i, subsets, spec.eps2, spec.norm2))
         sw = w.sum(axis=1)
-        xsum = (w[:, :, None] * xj).sum(axis=1)
+        xsum = (w[:, :, None] * x[subsets]).sum(axis=1)
         abar = sw / cfg.M
     else:
         # Every drawn partner is in N_i.  The -1 that pads the rows of small
@@ -73,7 +69,6 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
     active = sw > 0
     wsum = np.where(active, sw, 1).astype(float)
     xbar = xsum / wsum[:, None]
-    abar = abar * drift_scale
     step = cfg.dt * abar[:, None] * (xbar - x)
     x_new = np.where(active[:, None], x + step, x)
     return ps.with_positions(x_new, ps.t + cfg.dt)

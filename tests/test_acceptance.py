@@ -183,8 +183,9 @@ class TestCriterion6:
             ps = b.ParticleSet(rng.uniform(0, 1, (n, 2)),
                                rng.uniform(0, 1, (n, 1)))
             spec = b.InteractionSpec(eps1=0.3, eps2=0.4, sigma_mode="symmetric")
-            cfg = b.MfiConfig(M=n - 1, dt=0.5, t_final=1.0, seed=int(rng.integers(1 << 30)))
-            via_mfi = b.mfi_step(ps, spec, cfg, k=0, drift_scale=(n - 1) / n)
+            cfg = b.MfiConfig(M=n - 1, dt=0.5 * (n - 1) / n, t_final=1.0,
+                              seed=int(rng.integers(1 << 30)))
+            via_mfi = b.mfi_step(ps, spec, cfg, k=0)
             via_euler = b.euler_step(ps, spec, 0.5)
             worst = max(worst, float(np.max(np.abs(via_mfi.positions
                                                    - via_euler.positions))))

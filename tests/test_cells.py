@@ -1,7 +1,7 @@
 """Cell-list candidate pools: every gated neighborhood lies inside the pool."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bcclust.cells import candidate_pool
 from bcclust.model import InteractionSpec, ParticleSet
@@ -17,6 +17,9 @@ def pool_members(pool, i):
 
 class TestCandidatePool:
     @given(gated_sets())
+    # a euclidean gap whose square underflows to zero passes an eps1 = 0 gate
+    @example((ParticleSet([[3e-223, 0.0], [0.0, 0.0]]),
+              InteractionSpec(eps1=0.0, sigma_mode="stochastic")))
     @settings(max_examples=150, deadline=None)
     def test_pool_holds_neighborhood(self, case):
         ps, spec = case

@@ -58,6 +58,16 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(cfg),
                     "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cmd, line", [
+        ("simulate", "n = abc"), ("simulate", "merge_tol = None"),
+        ("shape", "alpha_list = ,"), ("segment", "eps2 = 0.3x"),
+        ("bench", "n_list = 1 two")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, cmd, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run([cmd, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
+
     def test_init_file_round_trip(self, tmp_path):
         ps_path = tmp_path / "init.csv"
         rng = np.random.default_rng(0)
@@ -80,6 +90,23 @@ class TestDeterminism:
         for name in ("trajectory.csv", "moments.csv", "clusters.csv",
                      "steady_state.csv", "density.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_rerun_from_manifest_bit_identical(self, tmp_path):
+        """A run's own manifest as --config reproduces every CSV, byte for
+        byte; unset parameters are left out of it."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["simulate", "--n", "300", "--init", "gaussian-feature",
+                    "--eps1", "0.15", "--eps2", "0.2", "--method", "mfi",
+                    "--M", "5", "--mode", "symmetric", "--t-final", "3",
+                    "--seed", "11", "--out-dir", str(a)]) == 0
+        manifest = bio.read_manifest(a / "manifest.txt")
+        assert "merge_tol" not in manifest and "init_file" not in manifest
+        assert run(["simulate", "--config", str(a / "manifest.txt"),
+                    "--out-dir", str(b)]) == 0
+        for name in ("trajectory.csv", "moments.csv", "clusters.csv",
+                     "steady_state.csv", "density.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert bio.read_manifest(b / "manifest.txt") == dict(manifest, out_dir=str(b))
 
 
 class TestShapeCommand:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcclust import dynamics
+from bcclust import cells, dynamics
 from bcclust.imageseg import segment
 from bcclust.mfi import MfiConfig
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
@@ -157,6 +157,26 @@ def blocked_cases(draw):
                            norm1=draw(NORM), norm2=draw(NORM),
                            sigma_mode=draw(st.sampled_from(["symmetric", "stochastic"])))
     return ps, spec, draw(st.integers(1, 64))
+
+
+@st.composite
+def grid_cases(draw, n_max=25):
+    """A particle set, merge_tol and eps2.  Positions (d1 in {1, 2}),
+    features (d2 in {0, 1, 2}) and, mostly, both tolerances lie on one grid
+    of eighths or of tenths, so pairs exactly at a tolerance occur, with
+    exact binary arithmetic and with rounding."""
+    den = draw(st.sampled_from([8, 10]))
+    n = draw(st.integers(1, n_max))
+    d1, d2 = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    pos = draw(st.lists(st.integers(0, den), min_size=n * d1, max_size=n * d1))
+    feat = draw(st.lists(st.integers(0, den), min_size=n * d2, max_size=n * d2))
+    ps = ParticleSet(np.reshape(pos, (n, d1)) / den,
+                     np.reshape(feat, (n, d2)) / den if d2 else None)
+    merge_tol = draw(st.one_of(st.integers(1, den // 2).map(lambda k: k / den),
+                               st.floats(0.01, 0.5)))
+    eps2 = draw(st.one_of(st.integers(0, den).map(lambda k: k / den),
+                          st.floats(0.05, 1.0)))
+    return ps, merge_tol, eps2
 
 
 class TestBlockedDrift:
@@ -317,15 +337,21 @@ class TestExtractClusters:
         ps = ParticleSet(np.array([[0.0], [10.0]]))
         assert default_merge_tol(ps, InteractionSpec(eps1=1)) == pytest.approx(1e-2)
 
-    @given(random_sets(n_max=25, features=True), st.floats(0.01, 0.5),
-           st.floats(0.05, 1.0),
-           st.sampled_from(["euclidean", "max", "manhattan"]))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force(self, ps, merge_tol, eps2, norm):
-        spec = InteractionSpec(eps1=0.1, eps2=eps2, norm1=norm, norm2=norm)
-        cs = extract_clusters(ps, merge_tol, spec)
-        got = {frozenset(c.members.tolist()) for c in cs.clusters}
-        assert got == brute_force_components(ps, merge_tol, spec)
+    @given(grid_cases(), NORM, NORM, st.integers(1, 64))
+    @example((ParticleSet([[0.2, 0.3], [0.2, 0.5]]), 0.2, 1.0), "manhattan", "euclidean", 64)
+    @example((ParticleSet([[0.0, 0.0], [0.1, 0.0], [0.3, 0.0], [0.5, 0.0], [0.9, 0.9]]),
+              0.2, 1.0), "manhattan", "euclidean", 64)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, case, norm1, norm2, chunk):
+        """Components equal the brute-force graph's, pairs exactly at either
+        tolerance included, whatever the size of the cross-check batches."""
+        ps, merge_tol, eps2 = case
+        spec = InteractionSpec(eps1=0.1, eps2=eps2, norm1=norm1, norm2=norm2)
+        with mock.patch.object(cells, "_CROSS_PAIRS", chunk):
+            cs = extract_clusters(ps, merge_tol, spec)
+        got = [c.members.tolist() for c in cs.clusters]
+        assert {frozenset(m) for m in got} == brute_force_components(ps, merge_tol, spec)
+        assert [m[0] for m in got] == sorted(m[0] for m in got)
 
 
 class TestVerifySteadyState:

@@ -244,8 +244,9 @@ class TestParticlesCsv:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
+        """Every value comes back as its string; an unset (None) one is left out."""
         path = tmp_path / "manifest.txt"
-        bio.write_manifest(path, {"seed": 7, "dt": 0.5, "method": "mfi"})
+        bio.write_manifest(path, {"seed": 7, "dt": 0.5, "method": "mfi", "merge_tol": None})
         back = bio.read_manifest(path)
         assert back == {"seed": "7", "dt": "0.5", "method": "mfi"}
 

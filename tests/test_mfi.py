@@ -93,10 +93,10 @@ class TestOracleEquivalence:
     @given(random_sets(n_min=3, n_max=30, features=True), st.integers(0, 20))
     @settings(max_examples=60, deadline=None)
     def test_full_subset_rescaled_matches_euler(self, ps, k):
-        """M = n-1 with drift scaled by M/n reproduces the deterministic step."""
+        """M = n-1 at time step dt*(n-1)/n reproduces the deterministic step at dt."""
         spec = InteractionSpec(eps1=0.3, eps2=0.3, sigma_mode="symmetric")
-        cfg = MfiConfig(M=ps.n - 1, dt=0.5, t_final=1.0, seed=3)
-        via_mfi = mfi_step(ps, spec, cfg, k, drift_scale=(ps.n - 1) / ps.n)
+        cfg = MfiConfig(M=ps.n - 1, dt=0.5 * (ps.n - 1) / ps.n, t_final=1.0, seed=3)
+        via_mfi = mfi_step(ps, spec, cfg, k)
         via_euler = euler_step(ps, spec, 0.5)
         np.testing.assert_allclose(via_mfi.positions, via_euler.positions,
                                    atol=1e-12, rtol=0)
