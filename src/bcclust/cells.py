@@ -10,7 +10,8 @@ to i's own, inside the window last_i +/- eps of that row, and each such window
 is one contiguous range of the order.  The union of those ranges is i's
 candidate pool, which holds the whole neighborhood N_i.  With only one gated
 coordinate (1D positions, no feature gate) there are no rows, and the pool is
-exactly N_i.
+exactly N_i.  With none (a spec of infinite confidence levels) the pool is one
+range of every particle, the pool of the symmetric-mode subset draw.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ def cmd_shape(args) -> int:
     bio.write_sweep_csv(_out(p, "sweep.csv"), result)
     bio.write_sweep_summary_csv(_out(p, "summary.csv"), result)
     for r in result.rows:
-        name = f"centers_a{r.alpha:g}_e{r.eps1:g}_r{r.run}.csv"
+        name = f"centers_a{r.alpha}_e{r.eps1}_r{r.run}.csv"
         bio._write_csv(_out(p, name), ["center_1", "center_2"],
                        ([*c] for c in r.centers))
     p["command"] = "shape"

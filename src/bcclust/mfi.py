@@ -1,12 +1,12 @@
-"""Random-subset mean-field interaction integrator, O(M*N) per step, plus an
-O(N log N) cell sort in stochastic mode.
+"""Random-subset mean-field interaction integrator, O(M*N) per step plus an
+O(N log N) cell sort.
 
-In symmetric mode each particle averages over M indices sampled uniformly
-without repetition from all other particles, and Abar = (1/M) * sum of kernel
-indicators, the Monte Carlo estimate of the interaction fraction |N_i|/n.  In
-stochastic mode the M partners are sampled uniformly without repetition from
-the particle's own neighborhood N_i \\ {i} (all of it when it holds M or
-fewer), found through a cell list (bcclust.cells), and Abar = 1: the subset
+Each particle draws M partners uniformly without repetition from a candidate
+pool (bcclust.cells, bcclust.rng).  In symmetric mode the pool holds every
+particle, the drawn partners outside N_i are dropped, and Abar = (1/M) * the
+number kept, the Monte Carlo estimate of the interaction fraction |N_i|/n.
+In stochastic mode the partners come from the particle's own neighborhood
+N_i \\ {i} (all of it when it holds M or fewer), and Abar = 1: the subset
 mean estimates the neighborhood mean, as in Random Batch methods.  Either way
 dt * Abar never exceeds 1, and a particle with no qualifying partner holds
 still; in stochastic mode that means N_i = {i}.  The subset integrator always
@@ -47,25 +47,21 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int) -> 
     reproduces the deterministic Euler step at dt, which the tests use as an
     oracle.
     """
-    n = ps.n
-    if cfg.M > n - 1:
-        raise ConfigError(f"M={cfg.M} exceeds the {n - 1} available partners")
     x = ps.positions
-    if spec.sigma_mode == "symmetric":
-        subsets = RngStream(cfg.seed).subsets(k, n, cfg.M)  # (n, M)
-        i = np.arange(n)[:, None]
-        w = (_within(x, i, subsets, spec.eps1, spec.norm1)
-             & _within(ps.features, i, subsets, spec.eps2, spec.norm2))
-        sw = w.sum(axis=1)
-        xsum = (w[:, :, None] * x[subsets]).sum(axis=1)
-        abar = sw / cfg.M
-    else:
-        # Every drawn partner is in N_i.  The -1 that pads the rows of small
-        # neighborhoods picks the zero appended to each coordinate column.
-        sub = RngStream(cfg.seed).subsets(k, n, cfg.M, pool=candidate_pool(ps, spec)).T
-        sw = (sub >= 0).sum(axis=0)
-        xsum = np.column_stack([np.append(c, 0.0)[sub].sum(axis=0) for c in x.T])
-        abar = (sw > 0).astype(float)
+    symmetric = spec.sigma_mode == "symmetric"
+    pool = candidate_pool(ps, InteractionSpec(eps1=np.inf) if symmetric else spec)
+    sub = RngStream(cfg.seed).subsets(k, cfg.M, pool).T  # (M, n)
+    if symmetric:
+        i = np.arange(ps.n)
+        ok = (_within(x, i, sub, spec.eps1, spec.norm1)
+              & _within(ps.features, i, sub, spec.eps2, spec.norm2))
+        sub = np.where(ok, sub, -1)
+    # Every partner left is in N_i.  A -1, for a partner dropped by the gate
+    # or for the padding of a small neighborhood, picks the zero appended to
+    # each coordinate column.
+    sw = (sub >= 0).sum(axis=0)
+    xsum = np.column_stack([np.append(c, 0.0)[sub].sum(axis=0) for c in x.T])
+    abar = sw / cfg.M if symmetric else (sw > 0).astype(float)
     active = sw > 0
     wsum = np.where(active, sw, 1).astype(float)
     xbar = xsum / wsum[:, None]

@@ -3,9 +3,10 @@
 Every draw is a pure function of (seed, step, particle, slot), so sampled
 subsets do not depend on evaluation order or worker count.  The generator is a
 splitmix64-style chain of multiply/xor finalizers over 64-bit counters.
-Subsets are drawn either from all other particles or, given a candidate pool
-(see bcclust.cells), from the particle's own gated neighborhood; a
-neighborhood draw is a pure function of (seed, step, particle) given the
+Subsets are drawn from a candidate pool (see bcclust.cells): the particle's
+own gated neighborhood, or every other particle when the pool gates nothing.
+Keyed draws with repeats skipped serve large pools and a keyed priority scan
+small ones, so a draw is a pure function of (seed, step, particle) given the
 step's state.
 """
 
@@ -25,15 +26,14 @@ _C_SLOT = _U(0x9E6C63D0876A9A63)
 _C_RETRY = _U(0xB5297A4D3BE87F81)
 _C_CAND = _U(0x8CB92BA72F3D8DD7)
 
-# Neighborhood draws: pools of at most _ENUMERATE * M candidates are scanned
-# whole, and so are rows still short of M accepted partners after _ROUNDS
-# rounds of keyed draws.
+# Pools of at most _ENUMERATE * M candidates are scanned whole, and so are
+# rows still short of M accepted partners after _ROUNDS rounds of keyed draws.
 _ENUMERATE = 4
 _ROUNDS = 4
-# Neighborhood draws run in blocks of about _BLOCK draws (rows * M), so their
-# (M, rows) temporaries stay at 2 MiB whatever n and M are, and the cost per
-# draw does not jump once M * n outgrows the caches.  A row does not depend
-# on the other rows of its block.
+# Draws run in blocks of about _BLOCK draws (rows * M), so their (M, rows)
+# temporaries stay at 2 MiB whatever n and M are, and the cost per draw does
+# not jump once M * n outgrows the caches.  A row does not depend on the other
+# rows of its block.
 _BLOCK = 1 << 18
 
 
@@ -77,11 +77,10 @@ def _bounded(keys, slots, bound):
     return raw % b
 
 
-def _repeats(c, tail=None):
-    """Mask over the last `tail` rows of c (default: all of them) of the
-    entries that equal an earlier entry of the same column."""
+def _repeats(c, tail):
+    """Mask over the last `tail` rows of c of the entries that equal an
+    earlier entry of the same column."""
     rows = c.shape[0]
-    tail = rows if tail is None else tail
     dup = np.zeros((tail, c.shape[1]), dtype=bool)
     for t in range(max(1, rows - tail), rows):
         dup[t - rows + tail] = (c[:t] == c[t]).any(axis=0)
@@ -105,57 +104,32 @@ class RngStream:
 
     seed: int
 
-    def subsets(self, step: int, n: int, M: int, particles=None,
-                pool=None) -> np.ndarray:
-        """Sampled index rows, shape (len(particles), M).
+    def subsets(self, step: int, M: int, pool, particles=None) -> np.ndarray:
+        """Sampled index rows from a CandidatePool, shape (len(particles), M);
+        particles defaults to every particle of the pool.
 
-        Without a pool each row is an M-subset of {0..n-1} \\ {i} drawn
-        uniformly without repetition, a pure function of (seed, step, i).
-        With a CandidatePool each row is an M-subset of N_i \\ {i} drawn the
-        same way, or all of N_i \\ {i} followed by -1 padding when that holds
-        M or fewer; the pool's step state enters as data.
+        Each row is an M-subset of N_i \\ {i} drawn uniformly without
+        repetition, a pure function of (seed, step, i) given the pool's step
+        state, or all of N_i \\ {i} followed by -1 padding when that holds M
+        or fewer.  The pool of a spec that gates nothing holds every
+        particle, so its rows are M-subsets of {0..n-1} \\ {i}.
         """
+        n = len(pool.order)
         every = particles is None
         if every:
             particles = np.arange(n)
         particles = np.asarray(particles, dtype=np.int64)
         if not 1 <= M <= n - 1:
-            raise ConfigError(f"subset size {M} must be in [1, n-1] = [1, {n - 1}]")
+            raise ConfigError(f"subset size M={M} is below 1 or exceeds the "
+                              f"{n - 1} other particles")
         keys = _particle_keys(self.seed, step, particles)
-        if pool is not None:
-            rows = max(1, _BLOCK // M)
-            parts = []
-            for a in range(0, len(particles), rows):
-                b = slice(a, a + rows)
-                parts.append(self._from_pool(keys[b], particles[b], M, pool,
-                                             b if every else particles[b]))
-            return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
-        if 2 * M <= n - 1:
-            return self._reject(keys, particles, n, M)
-        return self._fisher_yates(keys, particles, n, M)
-
-    def subset(self, step: int, i: int, n: int, M: int, pool=None) -> np.ndarray:
-        """Single subset for particle i; identical to the batch row."""
-        return self.subsets(step, n, M, particles=np.array([i]), pool=pool)[0]
-
-    def _reject(self, keys, particles, n, M):
-        # Draw M values with replacement from the complement; retry rows that
-        # collide.  Attempt a uses slots [a*M, (a+1)*M), so each row stays a
-        # pure function of its own key.
-        # Draws are laid out (slot, row), as in _from_pool.
-        out = np.empty((M, len(particles)), dtype=np.int64)
-        pending = np.arange(len(particles))
-        attempt = 0
-        while pending.size:
-            slots = np.arange(attempt * M, (attempt + 1) * M, dtype=np.uint64)
-            v = _bounded(keys[pending], slots[:, None], n - 1).view(np.int64)
-            j = v + (v >= particles[pending])
-            dup = _repeats(j).any(axis=0)
-            out[:, pending[~dup]] = j[:, ~dup]
-            pending = pending[dup]
-            attempt += 1
-        # row-major, as callers' reductions over a row depend on the layout
-        return np.ascontiguousarray(out.T)
+        rows = max(1, _BLOCK // M)
+        parts = []
+        for a in range(0, len(particles), rows):
+            b = slice(a, a + rows)
+            parts.append(self._from_pool(keys[b], particles[b], M, pool,
+                                         b if every else particles[b]))
+        return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
 
     def _from_pool(self, keys, particles, M, pool, sel):
         # A row's candidates are its pool less i, numbered 0..size-1 in pool
@@ -246,21 +220,6 @@ class RngStream:
         out = np.full((M, len(particles)), -1, dtype=np.int64)
         out[place[take], owner[take]] = j[take]
         return out
-
-    def _fisher_yates(self, keys, particles, n, M):
-        # Partial shuffle of each row's complement; used when M is a large
-        # fraction of n (the rejection path would rarely terminate).
-        rows = len(particles)
-        pool = np.broadcast_to(np.arange(n - 1), (rows, n - 1)).copy()
-        pool += pool >= particles[:, None]  # complement of self
-        r = np.arange(rows)
-        for s in range(M):
-            slot = np.full((rows,), s, dtype=np.uint64)
-            pick = s + _bounded(keys, slot, n - 1 - s).astype(np.int64)
-            tmp = pool[r, s].copy()
-            pool[r, s] = pool[r, pick]
-            pool[r, pick] = tmp
-        return pool[:, :M]
 
 
 def derive_seed(*parts: int) -> int:

@@ -230,6 +230,8 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
     eps1_list = list(eps1_list)
     if not alphas or not eps1_list or runs_per_cell < 1:
         raise ConfigError("alphas, eps1_list and runs_per_cell must be nonempty")
+    if len(set(alphas)) < len(alphas) or len(set(eps1_list)) < len(eps1_list):
+        raise ConfigError("alphas and eps1_list must not repeat a value")
     tasks = [(pat, alpha, eps1, run, derive_seed(master_seed, ai, ei, run),
               noise_dist, M, dt, t_final, sigma_mode, merge_tol)
              for ai, alpha in enumerate(alphas)

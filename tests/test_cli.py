@@ -78,6 +78,13 @@ class TestSimulateCommand:
                     "--eps1", "0.5", "--mode", "stochastic",
                     "--t-final", "2", "--out-dir", str(out)]) == 0
 
+    def test_symmetric_large_M_finishes(self, tmp_path):
+        """M = 150 of n = 1000 in symmetric mode: the draw must not wait for
+        M draws with replacement that hold no repeat."""
+        assert run(["simulate", "--n", "1000", "--eps1", "0.3", "--mode",
+                    "symmetric", "--method", "mfi", "--M", "150",
+                    "--t-final", "1", "--out-dir", str(tmp_path)]) == 0
+
 
 class TestDeterminism:
     def test_rerun_bit_identical(self, tmp_path):
@@ -120,6 +127,27 @@ class TestShapeCommand:
         assert (out / "summary.csv").exists()
         centers = [f for f in os.listdir(out) if f.startswith("centers_")]
         assert len(centers) == 2
+
+    def test_centers_files_named_by_round_trip_values(self, tmp_path, monkeypatch):
+        """Values that agree to six digits still name distinct files."""
+        from bcclust import shapes
+
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
+        out = tmp_path / "out"
+        assert run(["shape", "--n", "100", "--alpha-list", "0.1 0.1000001",
+                    "--eps1-list", "1", "--t-final", "1",
+                    "--out-dir", str(out)]) == 0
+        assert sorted(f for f in os.listdir(out) if f.startswith("centers_")) == [
+            "centers_a0.1000001_e1.0_r0.csv", "centers_a0.1_e1.0_r0.csv"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("flag", ["--alpha-list", "--eps1-list"])
+    def test_repeated_list_value_is_usage_error(self, tmp_path, capsys, flag):
+        lists = {"--alpha-list": "0.05", "--eps1-list": "0.1"}
+        lists[flag] = "0.1 0.2 0.1"
+        assert run(["shape", "--n", "50", *(x for kv in lists.items() for x in kv),
+                    "--t-final", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "repeat" in capsys.readouterr().err
 
     def test_pattern_file(self, tmp_path):
         pat = tmp_path / "seg.txt"

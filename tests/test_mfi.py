@@ -34,8 +34,9 @@ class TestMfiConfig:
     def test_M_larger_than_partners_rejected_at_step(self):
         ps = ParticleSet(np.zeros((4, 1)))
         cfg = MfiConfig(M=4, dt=0.5, t_final=1.0, seed=0)
-        with pytest.raises(ConfigError):
-            mfi_step(ps, InteractionSpec(eps1=1), cfg, 0)
+        for mode in ("symmetric", "stochastic"):
+            with pytest.raises(ConfigError):
+                mfi_step(ps, InteractionSpec(eps1=1, sigma_mode=mode), cfg, 0)
 
 
 class TestMfiStep:

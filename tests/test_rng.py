@@ -12,13 +12,18 @@ from bcclust import rng as rng_module
 from bcclust.rng import RngStream, derive_seed
 
 
+def whole_pool(n):
+    """The pool of a spec that gates nothing: every particle is a candidate."""
+    return candidate_pool(ParticleSet(np.zeros((n, 1))), InteractionSpec(eps1=np.inf))
+
+
 class TestSubsetValidity:
     @given(st.integers(0, 2**63 - 1), st.integers(0, 1000), st.data())
     @settings(max_examples=80, deadline=None)
     def test_rows_are_valid_subsets(self, seed, step, data):
         n = data.draw(st.integers(2, 40))
         M = data.draw(st.integers(1, n - 1))
-        rows = RngStream(seed).subsets(step, n, M)
+        rows = RngStream(seed).subsets(step, M, whole_pool(n))
         assert rows.shape == (n, M)
         for i in range(n):
             row = rows[i]
@@ -28,51 +33,68 @@ class TestSubsetValidity:
 
     def test_full_complement_when_M_is_n_minus_1(self):
         n = 9
-        rows = RngStream(3).subsets(0, n, n - 1)
+        rows = RngStream(3).subsets(0, n - 1, whole_pool(n))
         for i in range(n):
             assert sorted(rows[i].tolist()) == [j for j in range(n) if j != i]
 
     def test_M_out_of_range(self):
         with pytest.raises(ConfigError):
-            RngStream(0).subsets(0, 5, 5)
+            RngStream(0).subsets(0, 5, whole_pool(5))
         with pytest.raises(ConfigError):
-            RngStream(0).subsets(0, 5, 0)
+            RngStream(0).subsets(0, 0, whole_pool(5))
+
+    @pytest.mark.parametrize("M", [100, 150, 400])
+    def test_large_M_rows_are_valid_subsets(self, M):
+        """Large M against n: the odds that M draws with replacement hold no
+        repeat, about exp(-M**2 / 2n), do not slow the draw down."""
+        n = 1000
+        rows = RngStream(5).subsets(0, M, whole_pool(n))
+        assert rows.shape == (n, M)
+        assert rows.min() >= 0 and rows.max() < n
+        srt = np.sort(rows, axis=1)
+        assert not (srt[:, 1:] == srt[:, :-1]).any(), "indices must be distinct"
+        assert not (rows == np.arange(n)[:, None]).any(), "self must be excluded"
 
 
 class TestDeterminism:
     def test_repeated_call_identical(self):
         s = RngStream(42)
-        a = s.subsets(7, 30, 5)
-        b = s.subsets(7, 30, 5)
+        a = s.subsets(7, 5, whole_pool(30))
+        b = s.subsets(7, 5, whole_pool(30))
         np.testing.assert_array_equal(a, b)
 
     def test_single_matches_batch_row(self):
         """Per-particle draws must not depend on which particles are evaluated."""
         s = RngStream(11)
-        batch = s.subsets(3, 25, 6)
+        pool = whole_pool(25)
+        batch = s.subsets(3, 6, pool)
         for i in (0, 10, 24):
-            np.testing.assert_array_equal(s.subset(3, i, 25, 6), batch[i])
+            np.testing.assert_array_equal(
+                s.subsets(3, 6, pool, particles=np.array([i]))[0], batch[i])
 
     def test_subset_of_particles_matches_full_batch(self):
         s = RngStream(99)
-        full = s.subsets(0, 40, 4)
-        part = s.subsets(0, 40, 4, particles=np.array([5, 17, 33]))
+        full = s.subsets(0, 4, whole_pool(40))
+        part = s.subsets(0, 4, whole_pool(40), particles=np.array([5, 17, 33]))
         np.testing.assert_array_equal(part, full[[5, 17, 33]])
 
     def test_streams_differ_across_keys(self):
-        base = RngStream(1).subsets(0, 100, 10)
-        assert not np.array_equal(base, RngStream(2).subsets(0, 100, 10))
-        assert not np.array_equal(base, RngStream(1).subsets(1, 100, 10))
+        pool = whole_pool(100)
+        base = RngStream(1).subsets(0, 10, pool)
+        assert not np.array_equal(base, RngStream(2).subsets(0, 10, pool))
+        assert not np.array_equal(base, RngStream(1).subsets(1, 10, pool))
 
 
 class TestUniformity:
     def test_marginal_counts_are_flat(self):
-        """Each j != i should be sampled with probability M/(n-1)."""
+        """Each j != i should be sampled with probability M/(n-1).  The pool
+        of n-1 > 4M candidates is drawn from by keyed rounds."""
         n, M, steps = 20, 4, 400
         s = RngStream(123)
+        pool = whole_pool(n)
         counts = np.zeros((n, n))
         for k in range(steps):
-            rows = s.subsets(k, n, M)
+            rows = s.subsets(k, M, pool)
             for i in range(n):
                 counts[i, rows[i]] += 1
         expected = steps * M / (n - 1)
@@ -83,12 +105,14 @@ class TestUniformity:
         assert counts.diagonal().sum() == 0
 
     def test_large_M_path_uniformity(self):
-        """The partial-shuffle branch (2M > n-1) must stay uniform too."""
+        """A pool of n-1 <= 4M candidates is scanned whole, and must stay
+        uniform too."""
         n, M, steps = 10, 7, 600
         s = RngStream(7)
+        pool = whole_pool(n)
         counts = np.zeros((n, n))
         for k in range(steps):
-            rows = s.subsets(k, n, M)
+            rows = s.subsets(k, M, pool)
             for i in range(n):
                 counts[i, rows[i]] += 1
         expected = steps * M / (n - 1)
@@ -128,7 +152,7 @@ class TestNeighborhoodSubsets:
     def test_rows_are_valid_neighborhood_subsets(self, case, seed, step, data):
         ps, spec = case
         M = data.draw(st.integers(1, ps.n - 1))
-        rows = RngStream(seed).subsets(step, ps.n, M, pool=candidate_pool(ps, spec))
+        rows = RngStream(seed).subsets(step, M, candidate_pool(ps, spec))
         assert rows.shape == (ps.n, M)
         for i in range(ps.n):
             nb = neighbors(ps, spec, i)
@@ -153,7 +177,7 @@ class TestNeighborhoodSubsets:
         pool = candidate_pool(ps, spec)
         assert pool.hi[0].sum() - pool.lo[0].sum() > 300
         for step in range(20):
-            row = RngStream(1).subset(step, 0, ps.n, 10, pool=pool)
+            row = RngStream(1).subsets(step, 10, pool, particles=np.array([0]))[0]
             assert sorted(row.tolist()) == [-1] * 8 + [1, 2]
 
     def test_single_matches_batch_row(self):
@@ -162,10 +186,11 @@ class TestNeighborhoodSubsets:
         spec = InteractionSpec(eps1=0.3, eps2=0.5, sigma_mode="stochastic")
         pool = candidate_pool(ps, spec)
         s = RngStream(11)
-        batch = s.subsets(3, ps.n, 6, pool=pool)
+        batch = s.subsets(3, 6, pool)
         for i in (0, 10, 150, 299):
-            np.testing.assert_array_equal(s.subset(3, i, ps.n, 6, pool=pool), batch[i])
-        part = s.subsets(3, ps.n, 6, particles=np.array([5, 17, 33]), pool=pool)
+            np.testing.assert_array_equal(
+                s.subsets(3, 6, pool, particles=np.array([i]))[0], batch[i])
+        part = s.subsets(3, 6, pool, particles=np.array([5, 17, 33]))
         np.testing.assert_array_equal(part, batch[[5, 17, 33]])
 
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -180,12 +205,11 @@ class TestNeighborhoodSubsets:
         pool = candidate_pool(ps, spec)
         s = RngStream(8)
         some = np.array([299, 3, 150, 4, 77])
-        whole = s.subsets(2, ps.n, 6, pool=pool)
-        part = s.subsets(2, ps.n, 6, particles=some, pool=pool)
+        whole = s.subsets(2, 6, pool)
+        part = s.subsets(2, 6, pool, particles=some)
         monkeypatch.setattr(rng_module, "_BLOCK", block)
-        np.testing.assert_array_equal(s.subsets(2, ps.n, 6, pool=pool), whole)
-        np.testing.assert_array_equal(
-            s.subsets(2, ps.n, 6, particles=some, pool=pool), part)
+        np.testing.assert_array_equal(s.subsets(2, 6, pool), whole)
+        np.testing.assert_array_equal(s.subsets(2, 6, pool, particles=some), part)
 
     @pytest.mark.parametrize("n, d1, eps1", [(200, 1, 0.5), (60, 1, 0.4), (150, 2, 0.4)])
     def test_marginal_counts_are_flat(self, n, d1, eps1):
@@ -201,7 +225,7 @@ class TestNeighborhoodSubsets:
         s = RngStream(123)
         counts = np.zeros((n, n))
         for k in range(steps):
-            rows = s.subsets(k, n, M, pool=pool)
+            rows = s.subsets(k, M, pool)
             for i in range(n):
                 counts[i, rows[i][rows[i] >= 0]] += 1
         checked = 0
