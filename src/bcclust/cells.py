@@ -22,11 +22,8 @@ from itertools import product
 
 import numpy as np
 
+from . import model
 from .model import InteractionSpec, ParticleSet, _within, bbox_diameter
-
-# Member pairs cross-checked at once by components(): each pair costs a few
-# int64 indices and floats, so a batch stays near 2**18 * 40 B = 10 MiB.
-_CROSS_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ def components(groups, n: int) -> np.ndarray:
     This is grid-based exact single linkage, as in grid DBSCAN (Gan & Tao,
     SIGMOD 2015).  Two particles sharing a cell are always joined.  Two cells
     a stencil offset apart are joined only if a cross check, in batches of
-    about _CROSS_PAIRS member pairs, finds a member pair that passes the
+    about model._TILE_PAIRS member pairs, finds a member pair that passes the
     gate.  A cell pair already joined through others is skipped, so a large
     pair stops at the first chunk of rows that finds one.
     """
@@ -218,9 +215,10 @@ def components(groups, n: int) -> np.ndarray:
     a, b = np.concatenate(pairs, axis=1)
 
     # Each pair is split into units of rows of its first cell, at most
-    # _CROSS_PAIRS member pairs each unless a single row is longer, and the
-    # cheapest units go first.
-    rows = np.maximum(1, _CROSS_PAIRS // size[b])
+    # model._TILE_PAIRS member pairs each unless a single row is longer, and
+    # the cheapest units go first.  A member pair costs a few int64 indices
+    # and floats, so a batch stays near 2**17 * 40 B = 5 MiB.
+    rows = np.maximum(1, model._TILE_PAIRS // size[b])
     per = -(-size[a] // rows)
     u = np.repeat(np.arange(a.size), per)
     r0 = (np.arange(u.size) - np.repeat(np.cumsum(per) - per, per)) * rows[u]
@@ -230,7 +228,7 @@ def components(groups, n: int) -> np.ndarray:
     while pend.shape[1]:
         pend = pend[:, root[pend[0]] != root[pend[1]]]
         cost = np.cumsum((pend[3] - pend[2]) * size[pend[1]])
-        take = max(1, int(np.searchsorted(cost, _CROSS_PAIRS, side="right")))
+        take = max(1, int(np.searchsorted(cost, model._TILE_PAIRS, side="right")))
         (ca, cb, lo, hi), pend = pend[:, :take], pend[:, take:]
         nb = size[cb]
         cnt = (hi - lo) * nb

@@ -12,17 +12,12 @@ from .model import (
     InteractionSpec,
     ParticleSet,
     _reduce_abs_diff,
+    _row_tiles,
     _within_mask,
     bbox_diameter,
     distances_to,
-    pairwise_distances,
 )
 from .moments import MomentRecord
-
-# Pairs of a dense gate evaluated at once.  A block that has not collapsed is
-# gated in row chunks of at most this many pairs, so its largest float
-# temporary is 2**22 * 8 B = 32 MiB whatever the block size.
-_CHUNK_PAIRS = 2**22
 
 
 @dataclass(frozen=True)
@@ -106,12 +101,6 @@ class SteadyStateReport:
     violations: list
 
 
-def _row_chunks(m: int):
-    """Row slices of an (m, m) gate, each of at most _CHUNK_PAIRS pairs."""
-    step = max(1, _CHUNK_PAIRS // max(m, 1))
-    return [slice(s, min(s + step, m)) for s in range(0, m, step)]
-
-
 def _members(labels: np.ndarray) -> list:
     """Sorted member indices of each component of a labelling, in label order."""
     order = np.argsort(labels, kind="stable")
@@ -138,7 +127,7 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
         fmask = None
         if bbox_diameter(f, spec.norm2) > spec.eps2:
             fmask = np.empty((idx.size, idx.size), dtype=bool)
-            for rows in _row_chunks(idx.size):
+            for rows in _row_tiles(idx.size, idx.size):
                 fmask[rows] = _within_mask(f, spec.eps2, spec.norm2, rows)
         blocks.append((idx, fmask))
     return blocks
@@ -146,9 +135,10 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
 
 def _dense_drift(xc: np.ndarray, fmask: np.ndarray | None, spec: InteractionSpec,
                  n: int) -> np.ndarray:
-    """Drift of one block of an n-particle set from its gate, in row chunks."""
+    """Drift of one block of an n-particle set from its gate, in row tiles of
+    model._TILE_PAIRS pairs."""
     vc = np.empty_like(xc)
-    for rows in _row_chunks(xc.shape[0]):
+    for rows in _row_tiles(xc.shape[0], xc.shape[0]):
         gate = _within_mask(xc, spec.eps1, spec.norm1, rows)
         if fmask is not None:
             gate &= fmask[rows]
@@ -168,7 +158,7 @@ def _drift(ps: ParticleSet, spec: InteractionSpec,
     feature bounding boxes lie within eps1 and eps2 interacts pair by pair,
     and its velocity collapses to (mean_C - x), times |C|/n in symmetric
     mode: O(|C|).  Any other block is gated densely, O(|C|^2) time, in row
-    chunks of bounded memory.
+    tiles of bounded memory.
     """
     x = ps.positions
     if blocks is None:
@@ -283,11 +273,10 @@ def extract_clusters(ps: ParticleSet, merge_tol: float | None,
 
 def _min_feature_gap(fa: np.ndarray, fb: np.ndarray, norm: str) -> float:
     """Minimum cross distance between two static-feature sets, scanned in row
-    chunks of at most _CHUNK_PAIRS coordinate differences."""
-    step = max(1, _CHUNK_PAIRS // fb.size)
-    return min(float(_reduce_abs_diff(np.abs(fa[s:s + step, None] - fb[None]),
+    tiles of at most model._TILE_PAIRS coordinate differences."""
+    return min(float(_reduce_abs_diff(np.abs(fa[rows, None] - fb[None]),
                                       norm, axis=2).min())
-               for s in range(0, fa.shape[0], step))
+               for rows in _row_tiles(fa.shape[0], fb.size))
 
 
 def _sorted_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -306,27 +295,37 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     A pair of clusters passes when their centers are farther than eps1 apart or
     the minimum gap between their member features exceeds eps2.  An empty
     violation list characterizes a stationary sum of Dirac concentrations.
+    Violations come in row-major order of the pairs (i, k), i < k.
+
+    Center pairs are gated by model._within in row tiles of the upper
+    triangle, so memory grows with the pairs within eps1, not with m^2.
     """
     m = cs.n_clusters
     if m < 2:
         return SteadyStateReport(passed=True, violations=[])
     d2 = cs.features.shape[1]
-    cdist = pairwise_distances(cs.centers(), spec.norm1)
-    ii, kk = np.triu_indices(m, k=1)
-    candidate = cdist[ii, kk] <= spec.eps1
-    if d2 and candidate.any():
+    centers = cs.centers()
+    ii, kk = [], []
+    for rows in _row_tiles(m, m):
+        gate = _within_mask(centers, spec.eps1, spec.norm1, rows)
+        i, k = np.nonzero(np.triu(gate, rows.start + 1))
+        ii.append(i + rows.start)
+        kk.append(k)
+    ii, kk = np.concatenate(ii), np.concatenate(kk)
+    if d2 and ii.size:
         # componentwise interval gaps lower-bound the true member gap, so
         # box-separated pairs pass without touching member features
         fmin = np.array([c.feature_min for c in cs.clusters])
         fmax = np.array([c.feature_max for c in cs.clusters])
         box_gap = np.maximum(0.0, np.maximum(fmin[ii] - fmax[kk],
                                              fmin[kk] - fmax[ii]))
-        candidate &= _reduce_abs_diff(box_gap, spec.norm2, axis=1) <= spec.eps2
+        near = _reduce_abs_diff(box_gap, spec.norm2, axis=1) <= spec.eps2
+        ii, kk = ii[near], kk[near]
+    cdist = _reduce_abs_diff(np.abs(centers[ii] - centers[kk]), spec.norm1, axis=1)
     if d2 == 1:
         member_feats = [np.sort(cs.features[c.members, 0]) for c in cs.clusters]
     violations = []
-    for i, k in zip(ii[candidate], kk[candidate]):
-        i, k = int(i), int(k)
+    for i, k, dist in zip(ii.tolist(), kk.tolist(), cdist.tolist()):
         if d2 == 0:
             gap = 0.0
         elif d2 == 1:
@@ -337,5 +336,5 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
                                    spec.norm2)
         if gap > spec.eps2:
             continue
-        violations.append(PairViolation(i, k, float(cdist[i, k]), gap))
+        violations.append(PairViolation(i, k, dist, gap))
     return SteadyStateReport(passed=not violations, violations=violations)

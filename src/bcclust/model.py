@@ -13,6 +13,14 @@ import numpy as np
 NORMS = ("euclidean", "max", "manhattan")
 SIGMA_MODES = ("symmetric", "stochastic")
 
+# Pairs of every dense pairwise evaluation done at once: gates, feature
+# masks, cross checks and nearest distances.  At 2**17 pairs a float
+# temporary is 1 MiB, so the two that _within keeps alive and the tile's bool
+# gate fit a 2 MiB per-core L2 cache, and the allocator reuses them from its
+# heap instead of mapping fresh pages on every call (cache blocking, as for
+# GEMM in Goto & van de Geijn, ACM TOMS 34(3), 2008).
+_TILE_PAIRS = 2**17
+
 
 class ClusteringError(Exception):
     """Base class for errors raised by this package."""
@@ -134,15 +142,6 @@ def distances_to(points: np.ndarray, x: np.ndarray, norm: str) -> np.ndarray:
     return _reduce_abs_diff(np.abs(points - x[None, :]), norm, axis=1)
 
 
-def pairwise_distances(points: np.ndarray, norm: str) -> np.ndarray:
-    """Full (n, n) distance matrix.  Intended for moderate n only."""
-    n = points.shape[0]
-    if points.shape[1] == 0:
-        return np.zeros((n, n))
-    d = np.abs(points[:, None, :] - points[None, :, :])
-    return _reduce_abs_diff(d, norm, axis=2)
-
-
 def bbox_diameter(points: np.ndarray, norm: str) -> float:
     """Upper bound on the pairwise diameter via the bounding box."""
     if points.shape[1] == 0 or points.shape[0] == 0:
@@ -177,6 +176,13 @@ def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     if norm == "euclidean":
         np.sqrt(acc, out=acc)
     return acc <= eps
+
+
+def _row_tiles(rows: int, cols: int) -> list:
+    """Row slices of a (rows, cols) pairwise evaluation, each of at most
+    _TILE_PAIRS pairs unless a single row is longer."""
+    step = max(1, _TILE_PAIRS // max(cols, 1))
+    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
 
 
 def _within_mask(points: np.ndarray, eps: float, norm: str,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, InteractionSpec, ParticleSet
+from .model import ConfigError, InteractionSpec, ParticleSet, _row_tiles
 from .dynamics import default_merge_tol, extract_clusters
 from .mfi import MfiConfig, mfi_simulate
 from .rng import derive_seed
@@ -149,12 +149,18 @@ def perturb(pat: Pattern, ns: NoiseSpec) -> np.ndarray:
 
 
 def error_measure(cs, pat: Pattern) -> float:
-    """Mean over clusters of the minimum 2-norm distance to the pattern points."""
+    """Mean over clusters of the minimum 2-norm distance to the pattern points.
+
+    The distances are taken in row tiles of model._TILE_PAIRS center-point
+    pairs, so memory does not grow with clusters times pattern points.
+    """
     if cs.n_clusters < 1:
         raise ConfigError("empty cluster set")
     centers = cs.centers()
-    d = np.linalg.norm(centers[:, None, :] - pat.points[None, :, :], axis=2)
-    return float(d.min(axis=1).mean())
+    nearest = np.concatenate([
+        np.linalg.norm(centers[rows, None, :] - pat.points[None, :, :], axis=2).min(axis=1)
+        for rows in _row_tiles(centers.shape[0], pat.n)])
+    return float(nearest.mean())
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from bcclust.model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
+    _reduce_abs_diff,
     _within_mask,
     distances_to,
 )
@@ -65,6 +66,32 @@ def adjacency_weight(ps: ParticleSet, i: int, j: int, spec: InteractionSpec) -> 
         return 0.0
     sigma = ps.n if spec.sigma_mode == "symmetric" else nb.count
     return 1.0 / sigma
+
+
+def pairwise_distances(points: np.ndarray, norm: str) -> np.ndarray:
+    """Full (n, n) distance matrix.  Intended for moderate n only."""
+    n = points.shape[0]
+    if points.shape[1] == 0:
+        return np.zeros((n, n))
+    d = np.abs(points[:, None, :] - points[None, :, :])
+    return _reduce_abs_diff(d, norm, axis=2)
+
+
+def steady_state_violations(cs, spec: InteractionSpec) -> list:
+    """(i, k, center distance, member feature gap) of every cluster pair
+    i < k, in row-major order, whose centers lie within eps1 and whose
+    member features come within eps2, from the full distance matrices."""
+    cdist = pairwise_distances(cs.centers(), spec.norm1)
+    out = []
+    for i, k in zip(*np.triu_indices(cs.n_clusters, k=1)):
+        if not cdist[i, k] <= spec.eps1:
+            continue
+        a = cs.features[cs.clusters[i].members]
+        b = cs.features[cs.clusters[k].members]
+        gap = float(pairwise_distances(np.vstack([a, b]), spec.norm2)[:len(a), len(a):].min())
+        if gap <= spec.eps2:
+            out.append((int(i), int(k), float(cdist[i, k]), gap))
+    return out
 
 
 def dense_drift(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcclust import cells, dynamics
+from bcclust import dynamics, model
 from bcclust.imageseg import segment
 from bcclust.mfi import MfiConfig
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
@@ -20,7 +20,7 @@ from bcclust.dynamics import (
     simulate,
     verify_steady_state,
 )
-from oracles import dense_drift
+from oracles import dense_drift, pairwise_distances, steady_state_violations
 from test_acceptance import quadrant_image
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
@@ -187,7 +187,7 @@ class TestBlockedDrift:
     def test_blocked_drift_matches_dense(self, case):
         """Per-component blocks, closed form and row chunks equal the full sum."""
         ps, spec, chunk = case
-        with mock.patch.object(dynamics, "_CHUNK_PAIRS", chunk):
+        with mock.patch.object(model, "_TILE_PAIRS", chunk):
             blocked = _drift(ps, spec)
         np.testing.assert_allclose(blocked, dense_drift(ps, spec), rtol=0, atol=1e-12)
 
@@ -205,6 +205,19 @@ class TestBlockedDrift:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**20
+
+    def test_step_memory_fits_tiles(self):
+        """A dense step over 8192 featureless particles allocates a few row
+        tiles, not row chunks of tens of MiB."""
+        ps = ParticleSet(np.random.default_rng(0).uniform(0, 1, (8192, 2)))
+        spec = InteractionSpec(eps1=0.5)
+        tracemalloc.start()
+        try:
+            euler_step(ps, spec, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_quadrant_steps_stay_small(self, monkeypatch):
         """Once each half of the quadrant image collapses within eps1, a step
@@ -269,8 +282,6 @@ class TestSimulate:
 
 def brute_force_components(ps, merge_tol, spec):
     """Reference connected components via O(n^2) adjacency and BFS."""
-    from bcclust.model import pairwise_distances
-
     close = pairwise_distances(ps.positions, spec.norm1) <= merge_tol
     if ps.d2 > 0:
         close &= pairwise_distances(ps.features, spec.norm2) <= spec.eps2
@@ -347,7 +358,7 @@ class TestExtractClusters:
         tolerance included, whatever the size of the cross-check batches."""
         ps, merge_tol, eps2 = case
         spec = InteractionSpec(eps1=0.1, eps2=eps2, norm1=norm1, norm2=norm2)
-        with mock.patch.object(cells, "_CROSS_PAIRS", chunk):
+        with mock.patch.object(model, "_TILE_PAIRS", chunk):
             cs = extract_clusters(ps, merge_tol, spec)
         got = [c.members.tolist() for c in cs.clusters]
         assert {frozenset(m) for m in got} == brute_force_components(ps, merge_tol, spec)
@@ -381,3 +392,35 @@ class TestVerifySteadyState:
         """Separation must be strictly greater than eps1."""
         cs, spec = self._clusters([0.1, 0.25], eps1=0.15)
         assert not verify_steady_state(cs, spec).passed
+
+    @given(grid_cases(), st.one_of(st.sampled_from([0.1, 0.125, 0.25, 0.3, 0.5, np.inf]),
+                                   st.floats(0.01, 1.0)),
+           NORM, NORM, st.booleans(), st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_oracle(self, case, eps1, norm1, norm2, singletons, tile):
+        """The tiled check reports the oracle's violations, in its order, with
+        its floats, pairs exactly at eps1 or eps2 included."""
+        ps, merge_tol, eps2 = case
+        spec = InteractionSpec(eps1=eps1, eps2=eps2, norm1=norm1, norm2=norm2)
+        cs = extract_clusters(ps, 1e-9 if singletons else merge_tol, spec)
+        with mock.patch.object(model, "_TILE_PAIRS", tile):
+            rep = verify_steady_state(cs, spec)
+        got = [(v.i, v.k, v.center_distance, v.min_feature_gap) for v in rep.violations]
+        assert got == steady_state_violations(cs, spec)
+        assert rep.passed == (not got)
+
+    def test_memory_bounded_for_many_singletons(self):
+        """5000 isolated centers are gated in row tiles, never as an
+        (m, m, d1) difference array."""
+        ps = ParticleSet(np.random.default_rng(1).uniform(0, 1, (5000, 2)))
+        spec = InteractionSpec(eps1=1e-6)
+        cs = extract_clusters(ps, 1e-9, spec)
+        assert cs.n_clusters == 5000
+        tracemalloc.start()
+        try:
+            rep = verify_steady_state(cs, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 32 * 2**20

@@ -12,9 +12,14 @@ from bcclust.model import (
     _within_mask,
     bbox_diameter,
     distance,
+)
+from oracles import (
+    adjacency_weight,
+    chi,
+    interaction_mask,
+    neighborhood,
     pairwise_distances,
 )
-from oracles import adjacency_weight, chi, interaction_mask, neighborhood
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
 

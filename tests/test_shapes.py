@@ -2,12 +2,14 @@
 
 import os
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcclust import shapes
+from bcclust import model, shapes
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import extract_clusters
 from bcclust.shapes import (
@@ -186,6 +188,31 @@ class TestErrorMeasure:
         snapped = centers.copy()
         snapped[worst] = pat.points[d[worst].argmin()]
         assert error_measure(self._cluster_set(snapped), pat) <= base + 1e-12
+
+    def test_memory_bounded_for_many_clusters(self):
+        """5000 clusters against a 5000-point pattern are scored in row tiles,
+        never as one (clusters, points, 2) array."""
+        pat = generate_letter_A(5000)
+        centers = np.random.default_rng(6).uniform(0, 1, (5000, 2))
+        cs = self._cluster_set(centers)
+        assert cs.n_clusters == 5000
+        tracemalloc.start()
+        try:
+            e = error_measure(cs, pat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert 0 < e < 1
+
+    @pytest.mark.parametrize("tile", [1, 7, 64, 2**17])
+    def test_tiles_keep_bits(self, tile):
+        """The score equals the untiled one bit for bit at any tile size."""
+        pat = generate_letter_A(90)
+        cs = self._cluster_set(np.random.default_rng(7).uniform(0, 1, (40, 2)))
+        d = np.linalg.norm(cs.centers()[:, None] - pat.points[None], axis=2)
+        with mock.patch.object(model, "_TILE_PAIRS", tile):
+            assert error_measure(cs, pat) == float(d.min(axis=1).mean())
 
 
 class TestSweep:
