@@ -1,17 +1,33 @@
 """CSV/manifest serialization.  All files are written atomically
 (temp file + rename) with comma separators, '.' decimals and a header row.
-Floats are written as %.17g, which round-trips every double exactly."""
+Floats are written as %.17g, which round-trips every double exactly.
+
+The snapshot files (trajectory.csv, density.csv) hold one row per particle
+or bin per snapshot, so their floats go through `_g17`, an exact numpy
+kernel for '%.17g' % v that gives the same bytes as Python's.  Write a
+finite x with 1e-10 <= |x| < 1e17 as m * 2**q with m < 2**53; its decimal
+exponent E lies in [-10, 16].  The 17 significant digits are
+D = round-half-even(m * 5**k * 2**(q + k)) with k = 16 - E, and since
+5**k < 2**63 the product m * 5**k is formed exactly as two uint64 words
+(the fixed-width integer method of Ryu printf, Adams, OOPSLA 2019).  E is
+estimated by log10 and corrected until the truncated D has 17 digits.  The
+text follows %g: fixed notation for -4 <= E <= 16, exponential below (as in
+1.5e-07), trailing zeros stripped.  Zero, subnormals, nan, infinities and
+values outside that range are formatted by '%.17g' % v one at a time.
+"""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
-from .model import ConfigError, ParticleSet
+from .model import ClusteringError, ConfigError, ParticleSet
 
 _FLOAT_FMT = "%.17g"
 
@@ -43,28 +59,230 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_blocks(path, header, blocks) -> None:
-    """Header line, then each block of formatted rows.  Blocks stream to the
-    file, so memory stays flat for large trajectories."""
-    with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            fh.write(block)
-
-
 def _write_csv(path, header, rows) -> None:
     """Small tables: each value of each row formatted by _fmt."""
-    _write_blocks(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _snapshot_blocks(tr, rows, values):
-    """One block per snapshot (t, pos) of tr: every row of the template list
-    rows is prefixed by the time column, then all rows are filled in one %
-    operation from the flattened array values(pos)."""
-    for t, pos in tr.snapshots:
-        tcol = _FLOAT_FMT % t + ","
-        block = tcol + tcol.join(rows)
-        yield block % tuple(values(pos).ravel().tolist())
+# -- exact %.17g ---------------------------------------------------------------
+#
+# A value's text is laid out in one 32-byte field of four little-endian
+# words, with NUL bytes where it has no character; the NULs are dropped when
+# a block of rows is written.  Bytes 0-6 end with ',', a '-' and the lead
+# "0." and zeros of -4 <= E <= -1, the first digit is byte 7, and the other
+# 16 digits (bytes 8-23) move up one byte past the '.'.  The exponent
+# "e-05".."e-10" of E < -4 follows the last digit kept.  All uint64
+# arithmetic has np.uint64 operands, so that no mixed operation promotes to
+# float64 under numpy's older value-based casting.
+
+_FIELD = 32
+_CHUNK = 8192  # values per block: a uint64 temporary is 64 KiB, below
+               # glibc's 128 KiB mmap threshold, so blocks reuse heap memory
+_CASES = 27 * 17  # exponents -10..16 times the index 0..16 of the last nonzero digit
+
+_U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
+_ONE, _HALF64 = np.uint64(1), np.uint64(1 << 63)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TEN16, _TEN17 = np.uint64(10**16), np.uint64(10**17)
+_POW5 = np.array([5**k for k in range(27)], dtype=np.uint64)
+_POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U32
+_ZERO_CHAR = np.uint64(ord("0"))
+
+
+def _four_digit_tables():
+    """'%04d' % v for v < 10**4 as the value of one little-endian uint32
+    word, and the number of trailing zeros of that text."""
+    v = np.arange(10_000)
+    text = (v[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    zeros = (v % 10 == 0).astype(np.intp) + (v % 100 == 0) + (v % 1000 == 0) + (v == 0)
+    return text.view("<u4").ravel().astype(np.uint64), zeros
+
+
+def _layout_tables():
+    """Word masks and constant bytes of a field for each case
+    (E + 10) * 17 + last: which of the 16 digits after the first stay in
+    place (keep) or move up one byte (shift), the '.' and exponent, and
+    word 0 with its ',', lead and, in the second half, '-'."""
+    e = np.repeat(np.arange(-10, 17), 17)[:, None]
+    last = np.tile(np.arange(17), 27)[:, None]
+    b = np.arange(_FIELD)
+    lead = (e < 0) & (e >= -4)
+    dot = np.where(e >= 0, e, np.where(lead, 99, 0))  # '.' follows this digit
+    end = 7 + np.where(lead, last + 1, np.where(last > dot, last + 2, dot + 1))
+    start = 7 - np.where(lead, 1 - e, 0)  # where "0." or the first digit starts
+    keep = (b >= 8) & (b < np.minimum(8 + dot, end))
+    shift = (b > 8 + dot) & (b < end)
+    text = np.select(
+        [lead & (b == start + 1), (b == 8 + dot) & (b < end),
+         lead & (b >= start) & (b < 7),
+         (e < -4) & (b == end), (e < -4) & (b == end + 1),
+         (e < -4) & (b == end + 2), (e < -4) & (b == end + 3)],
+        [ord("."), ord("."), ord("0"), ord("e"), ord("-"),
+         48 + (-e) // 10, 48 + (-e) % 10])
+    plus = np.where(b == start - 1, ord(","), text)
+    minus = np.select([b == start - 2, b == start - 1], [ord(","), ord("-")], text)
+
+    def words(a, j):  # word j of each case's 32 bytes
+        return a.astype(np.uint8).view("<u8")[:, j].astype(np.uint64)
+    keep, shift = 255 * keep, 255 * shift
+    return (np.concatenate([words(plus, 0), words(minus, 0)]),
+            words(keep, 1), words(keep, 2),
+            words(shift, 1), words(shift, 2), words(shift, 3),
+            words(text, 1), words(text, 2), words(text, 3))
+
+
+@functools.cache
+def _tables():
+    """All lookup tables of the kernel, built on first use, not at import."""
+    return _four_digit_tables() + _layout_tables()
+
+
+def _scaled(m, q, e):
+    """floor(m * 2**q * 10**(16 - e)) as uint64, and whether rounding it
+    half to even adds one, from the exact 128-bit product m * 5**(16 - e)."""
+    k = 16 - e
+    p0, p1 = _POW5_LO[k], _POW5_HI[k]
+    m0, m1 = m & _LOW32, m >> _U32
+    lo = m0 * p0
+    mid = m0 * p1 + m1 * p0  # < 2**64: m0 * p1 < 2**63 and m1 * p0 < 2**53
+    hi = m1 * p1 + (mid >> _U32)
+    low = lo + (mid << _U32)
+    hi += low < lo
+    s = q + k  # the value is the product times 2**s
+    up_shift = np.minimum(s + 64, 63).astype(np.uint64)  # 64 - right shift
+    d = (hi << up_shift) | (low >> (np.uint64(64) - up_shift))
+    # the bits shifted out, at the top of a word: above half, or half and d odd
+    up = (low << up_shift) > _HALF64 - (d & _ONE)
+    left = s >= 0
+    if left.any():  # |x| >= 2**51: the value is an integer below 2**57
+        d = np.where(left, low << np.maximum(s, 0).astype(np.uint64), d)
+        up &= ~left
+    return d, up
+
+
+def _g17(x, text) -> None:
+    """Fill the (len(x), _FIELD) uint8 array text with ',' and '%.17g' % v
+    for each v of the 1-d float64 array x, and NUL bytes where the text has
+    no character."""
+    (digits4, zeros4, head, keep1, keep2, shift1, shift2, shift3,
+     text1, text2, text3) = _tables()
+    a = np.abs(x)
+    exact = (a >= 1e-10) & (a < 1e17)
+    a = np.where(exact, a, 1.0)
+    mant, q = np.frexp(a)
+    m = (mant * 2.0**53).astype(np.uint64)
+    q -= 53
+    e = np.floor(np.log10(a))
+    e = np.clip(e, -10, 16, out=e).astype(np.intp)
+    d, up = _scaled(m, q, e)
+    bad = np.flatnonzero((d < _TEN16) | (d >= _TEN17))
+    while bad.size:  # log10 was one off near a power of ten
+        e[bad] += np.where(d[bad] < _TEN16, -1, 1)
+        d[bad], up[bad] = _scaled(m[bad], q[bad], e[bad])
+        bad = bad[(d[bad] < _TEN16) | (d[bad] >= _TEN17)]
+    # No double in [1e-10, 1e17) lies within half a unit of the 17th digit
+    # below a power of ten, so rounding up never carries into an 18th digit.
+    d = d.astype(np.int64) + up
+    first = d // 10**16
+    d -= first * 10**16
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    hh = hi // 10**4
+    hl = hi - hh * 10**4
+    lh = lo // 10**4
+    ll = lo - lh * 10**4
+    zeros = zeros4[ll]
+    for full, g in ((4, lh), (8, hl), (12, hh)):  # all zeros so far: add the next group's
+        more = np.flatnonzero(zeros == full)
+        zeros[more] += zeros4[g[more]]
+    idx = (e + 10) * 17 + 16 - zeros
+    g1 = digits4[hh] | (digits4[hl] << _U32)
+    g2 = digits4[lh] | (digits4[ll] << _U32)
+    out = text.view("<u8")
+    out[:, 0] = head[idx + _CASES * (x < 0)] | ((first.astype(np.uint64) + _ZERO_CHAR) << _U56)
+    out[:, 1] = (g1 & keep1[idx]) | ((g1 << _U8) & shift1[idx]) | text1[idx]
+    out[:, 2] = ((g2 & keep2[idx]) | (((g2 << _U8) | (g1 >> _U56)) & shift2[idx])
+                 | text2[idx])
+    out[:, 3] = ((g2 >> _U56) & shift3[idx]) | text3[idx]
+    for i in np.flatnonzero(~exact):
+        s = ("," + _FLOAT_FMT % x[i]).encode()
+        text[i] = 0
+        text[i, :len(s)] = np.frombuffer(s, np.uint8)
+
+
+def _float_fields(x, out=None) -> np.ndarray:
+    """(x.size, _FIELD) uint8 fields of the values of x in row-major order,
+    formatted in blocks of _CHUNK; written into out when given."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if out is None:
+        out = np.empty((x.size, _FIELD), np.uint8)
+    for i in range(0, x.size, _CHUNK):
+        _g17(x[i:i + _CHUNK], out[i:i + _CHUNK])
+    return out
+
+
+# Masks of one four-digit word of an integer field, indexed by z + 1, where z
+# is the byte of the word that holds the ',': the digits after it, and the
+# ',' itself.  z = -1 when the ',' lies in an earlier word (all four digits
+# stay) and 4 when it lies in a later one (all NUL).
+_AFTER_COMMA = np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000, 0, 0],
+                        dtype=np.uint32)
+_COMMA = np.array([0] + [ord(",") << 8 * z for z in range(4)] + [0], dtype=np.uint32)
+
+
+def _int_fields(v) -> np.ndarray:
+    """(len(v), 4 * w) uint8: ',' and the decimal digits of each v >= 0,
+    right aligned after NUL bytes."""
+    digits4 = _tables()[0]
+    v = np.asarray(v, dtype=np.int64)
+    groups = len(str(int(v.max(initial=0)))) // 4 + 1  # room for the ','
+    width = 4 * groups
+    comma = width - 2 - np.searchsorted(10 ** np.arange(1, width), v, side="right")
+    words = np.empty((v.size, groups), "<u4")
+    rest = v
+    for j in range(groups - 1, -1, -1):  # four digits at a time, last first
+        rest, low = np.divmod(rest, 10_000)
+        z = np.clip(comma - 4 * j, -1, 4) + 1
+        words[:, j] = (digits4[low].astype(np.uint32) & _AFTER_COMMA[z]) | _COMMA[z]
+    return words.view(np.uint8)
+
+
+def _write_snapshot_rows(path, header, tr, prefix, values, fields, chunk,
+                         suffix=None) -> None:
+    """The header, then for each snapshot (t, pos) of tr one row per row r
+    of prefix: t, prefix[r], fields(values(pos)[r]) and suffix[r], where
+    prefix, fields and suffix are uint8 text padded with NUL bytes.  Each
+    block of chunk rows is assembled in one reused buffer and written with
+    its NULs dropped.  The '\n' ending a row is written at the start of the
+    next, with the time, so that no row needs a column of its own for it."""
+    n = prefix.shape[0]
+    buf = np.empty(0, np.uint8)
+    keep = np.empty(0, bool)
+    with _atomic_open(path, binary=True) as fh:
+        fh.write(",".join(header).encode())
+        for t, pos in tr.snapshots:
+            tcol = np.frombuffer(("\n" + _FLOAT_FMT % t).encode(), np.uint8)
+            vals = values(pos)
+            for r0 in range(0, n, chunk):
+                r1 = min(n, r0 + chunk)
+                parts = [tcol, prefix[r0:r1], fields(vals[r0:r1])]
+                if suffix is not None:
+                    parts.append(suffix[r0:r1])
+                width = sum(p.shape[-1] for p in parts)
+                if buf.size < (r1 - r0) * width:
+                    buf = np.empty(chunk * width, np.uint8)
+                    keep = np.empty(buf.size, bool)
+                block = buf[:(r1 - r0) * width].reshape(r1 - r0, width)
+                c = 0
+                for p in parts:
+                    block[:, c:c + p.shape[-1]] = p
+                    c += p.shape[-1]
+                flat = block.reshape(-1)
+                fh.write(flat[np.not_equal(flat, 0, out=keep[:flat.size])])
+        fh.write(b"\n")
 
 
 # -- trajectory ---------------------------------------------------------------
@@ -75,10 +293,13 @@ def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
     d2 = features.shape[1]
     header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
               + [f"c_{k + 1}" for k in range(d2)])
-    slots = ",".join([_FLOAT_FMT] * (d1 + d2))
-    rows = [f"{i},{slots}\n" for i in range(n)]
-    _write_blocks(path, header, _snapshot_blocks(
-        tr, rows, lambda pos: np.hstack([pos, features])))
+    suffix = _float_fields(features).reshape(n, d2 * _FIELD) if d2 else None
+    chunk = max(1, _CHUNK // d1)
+    text = np.empty((chunk * d1, _FIELD), np.uint8)
+    def fields(x):
+        return _float_fields(x, text[:x.size]).reshape(x.shape[0], d1 * _FIELD)
+    _write_snapshot_rows(path, header, tr, _int_fields(np.arange(n)),
+                         lambda pos: pos, fields, chunk, suffix)
 
 
 def read_trajectory_csv(path):
@@ -182,24 +403,28 @@ def write_density_csv(path, tr, bins: int, lo: float = 0.0, hi: float = 1.0) -> 
     Rows are (t, bin, x_center, count) in 1D and
     (t, bin_x, bin_y, x_center, y_center, count) in 2D, bin_y varying fastest.
     """
-    d1 = tr.snapshots[0][1].shape[1]
+    n, d1 = tr.snapshots[0][1].shape
     if d1 not in (1, 2):
         raise ConfigError("density histograms support d1 in {1, 2}")
     edges = np.linspace(lo, hi, bins + 1)
-    centers = [_FLOAT_FMT % c for c in (edges[:-1] + edges[1:]) / 2]
+    centers = _float_fields((edges[:-1] + edges[1:]) / 2)
+    b = np.arange(bins)
     if d1 == 1:
         header = ["t", "bin", "x_center", "count"]
-        rows = [f"{b},{centers[b]},%d\n" for b in range(bins)]
+        prefix = np.hstack([_int_fields(b), centers])
         def counts(pos):
             return np.histogram(pos[:, 0], bins=edges)[0]
     else:
         header = ["t", "bin_x", "bin_y", "x_center", "y_center", "count"]
-        rows = [f"{bx},{by},{centers[bx]},{centers[by]},%d\n"
-                for bx in range(bins) for by in range(bins)]
+        bx, by = np.repeat(b, bins), np.tile(b, bins)
+        prefix = np.hstack([_int_fields(bx), _int_fields(by),
+                            centers[bx], centers[by]])
         def counts(pos):
             return np.histogram2d(pos[:, 0], pos[:, 1],
-                                  bins=(edges, edges))[0].astype(np.int64)
-    _write_blocks(path, header, _snapshot_blocks(tr, rows, counts))
+                                  bins=(edges, edges))[0].astype(np.int64).ravel()
+    count_text = _int_fields(np.arange(n + 1))
+    _write_snapshot_rows(path, header, tr, prefix, counts,
+                         lambda c: count_text[c], _CHUNK)
 
 
 # -- shape sweeps -------------------------------------------------------------
@@ -234,15 +459,26 @@ def write_particles_csv(path, ps) -> None:
 
 
 def read_particles_csv(path) -> ParticleSet:
+    """A particles CSV: header x_1..x_d1, c_1..c_d2, then one row per
+    particle.  A file without rows or with a malformed row is a
+    ClusteringError naming the file."""
     with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        d1 = sum(1 for h in header if h.startswith("x_"))
-        d2 = sum(1 for h in header if h.startswith("c_"))
-        if d1 < 1:
-            raise ConfigError(f"{path}: no position columns in header")
-        data = [[float(v) for v in row] for row in rd]
-    arr = np.asarray(data)
+        header = next(csv.reader(fh), [])
+    d1 = sum(1 for h in header if h.startswith("x_"))
+    d2 = sum(1 for h in header if h.startswith("c_"))
+    if d1 < 1:
+        raise ConfigError(f"{path}: no position columns in header")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body
+            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ClusteringError(f"{path}: {exc}") from None
+    if arr.shape[0] == 0:
+        raise ClusteringError(f"{path}: no particle rows")
+    if arr.shape[1] != len(header):
+        raise ClusteringError(f"{path}: {arr.shape[1]} columns per row, "
+                              f"{len(header)} in the header")
     return ParticleSet(arr[:, :d1], arr[:, d1:d1 + d2] if d2 else None)
 
 

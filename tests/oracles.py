@@ -1,5 +1,5 @@
-"""Brute-force reference implementations of the interaction gate and of the
-shape noise injection.
+"""Brute-force reference implementations of the interaction gate, of the
+shape noise injection and of the snapshot CSV files.
 
 Each answers one question a particle at a time or over the whole (n, n)
 matrix, the way the model is written down, so tests can compare the
@@ -120,3 +120,47 @@ def perturb_loop(pat, ns) -> np.ndarray:
                 out[i] = cand
                 break
     return out
+
+
+def snapshot_blocks(tr, rows, values):
+    """The %-template writer of the snapshot files: one block per snapshot
+    (t, pos) of tr, in which every row of the template list rows is prefixed
+    by the time column and all rows are filled in one % operation from the
+    flattened array values(pos)."""
+    for t, pos in tr.snapshots:
+        tcol = "%.17g" % t + ","
+        block = tcol + tcol.join(rows)
+        yield block % tuple(values(pos).ravel().tolist())
+
+
+def trajectory_csv(tr, features) -> bytes:
+    """trajectory.csv of tr: rows (t, i, x_1..x_d1, c_1..c_d2)."""
+    n, d1 = tr.snapshots[0][1].shape
+    d2 = features.shape[1]
+    header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
+              + [f"c_{k + 1}" for k in range(d2)])
+    slots = ",".join(["%.17g"] * (d1 + d2))
+    rows = [f"{i},{slots}\n" for i in range(n)]
+    blocks = snapshot_blocks(tr, rows, lambda pos: np.hstack([pos, features]))
+    return (",".join(header) + "\n" + "".join(blocks)).encode()
+
+
+def density_csv(tr, bins: int) -> bytes:
+    """density.csv of tr on [0, 1]^d1: rows (t, bin, x_center, count) in 1D
+    and (t, bin_x, bin_y, x_center, y_center, count) in 2D."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    centers = ["%.17g" % c for c in (edges[:-1] + edges[1:]) / 2]
+    if tr.snapshots[0][1].shape[1] == 1:
+        header = ["t", "bin", "x_center", "count"]
+        rows = [f"{b},{centers[b]},%d\n" for b in range(bins)]
+        def counts(pos):
+            return np.histogram(pos[:, 0], bins=edges)[0]
+    else:
+        header = ["t", "bin_x", "bin_y", "x_center", "y_center", "count"]
+        rows = [f"{bx},{by},{centers[bx]},{centers[by]},%d\n"
+                for bx in range(bins) for by in range(bins)]
+        def counts(pos):
+            return np.histogram2d(pos[:, 0], pos[:, 1],
+                                  bins=(edges, edges))[0].astype(np.int64)
+    return (",".join(header) + "\n"
+            + "".join(snapshot_blocks(tr, rows, counts))).encode()

@@ -78,6 +78,19 @@ class TestSimulateCommand:
                     "--eps1", "0.5", "--mode", "stochastic",
                     "--t-final", "2", "--out-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("body", ["x_1\n", "x_1\n0.5\nabc\n",
+                                      "x_1,c_1\n0.5,1\n0.25\n"])
+    def test_corrupt_init_file_is_runtime_error(self, tmp_path, capsys, body):
+        """A header-only file or a malformed row exits 1 with one error line
+        naming the file, not a traceback."""
+        ps_path = tmp_path / "init.csv"
+        ps_path.write_text(body)
+        assert run(["simulate", "--init", "file", "--init-file", str(ps_path),
+                    "--eps1", "0.5", "--mode", "stochastic",
+                    "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ps_path}: ") and err.count("\n") == 1
+
     def test_symmetric_large_M_finishes(self, tmp_path):
         """M = 150 of n = 1000 in symmetric mode: the draw must not wait for
         M draws with replacement that hold no repeat."""

@@ -5,6 +5,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bcclust import io as bio
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
@@ -12,6 +13,7 @@ from bcclust.dynamics import IntegratorConfig, extract_clusters, simulate, \
     verify_steady_state
 from bcclust.mfi import MfiConfig, mfi_simulate
 from bcclust.shapes import generate_letter_A, sweep
+from oracles import density_csv, trajectory_csv
 
 SPECIAL = [-0.0, 1.0, 5e-324, 1e-300, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
 
@@ -141,6 +143,88 @@ class TestWritersMatchOracle:
         bio.write_density_csv(path, tr, bins=2)
         assert path.read_text() == ("t,bin,x_center,count\n"
                                     "1,0,0.25,2\n1,1,0.75,2\n")
+
+
+def g17_texts(values) -> list:
+    """The exact kernel's field of each value, NUL bytes dropped."""
+    fields = bio._float_fields(np.asarray(values, dtype=float))
+    return [bytes(f[f != 0]).decode() for f in fields]
+
+
+def edge_values() -> list:
+    """Each power of ten from 1e-11 to 1e17 and its neighbours one ulp
+    away: the edges of the exact range (1e-10, 1e17), of fixed notation
+    (E = -5/-4 and 16/17) and of every estimate of E from log10; with
+    -0.0, 0.0 and both signs."""
+    out = [0.0]
+    for j in range(-11, 18):
+        v = float(f"1e{j}")
+        out += [float(np.nextafter(v, 0)), v, float(np.nextafter(v, np.inf))]
+    return out + [-v for v in out]
+
+
+class TestExactG17:
+    """bio._g17 gives the bytes of '%.17g' % v for every double."""
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    @example([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308])
+    @example([2.0**51, 2.0**52 - 1, 2.0**53 + 2, 3 * 2.0**50, 0.5, 1 / 3])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_percent_format(self, values):
+        assert g17_texts(values) == ["," + "%.17g" % v for v in values]
+
+    def test_edges_of_exponent_and_range(self):
+        values = edge_values()
+        assert g17_texts(values) == ["," + "%.17g" % v for v in values]
+
+    def test_ties_round_to_even(self):
+        """Doubles exactly halfway between two 17-digit decimals."""
+        values = [1e15 + 0.25, 1e15 + 0.75, 123456789012345.125,
+                  123456789012345.375, -2e15 - 0.25, 8e15 + 1.5]
+        texts = g17_texts(values)
+        assert texts == ["," + "%.17g" % v for v in values]
+        assert texts[0] == ",1000000000000000.2"
+
+    def test_random_doubles_in_one_call(self):
+        """Values of every exponent, digit count and sign in blocks larger
+        than one kernel call."""
+        rng = np.random.default_rng(5)
+        n = 3 * bio._CHUNK + 5
+        few_digits = 10.0 ** rng.integers(1, 18, n)
+        values = np.concatenate([
+            rng.uniform(0, 1, n),
+            rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-12, 17.5, n),
+            np.floor(rng.uniform(0, 1, n) * few_digits) / few_digits
+            * 10.0 ** rng.integers(-11, 18, n),
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)])
+        assert g17_texts(values) == ["," + "%.17g" % v for v in values]
+
+
+class TestSnapshotBlocks:
+    """The snapshot writers match the %-template oracle on both sides of
+    the kernel's block boundary."""
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193])
+    @pytest.mark.parametrize("d1", [1, 2])
+    @pytest.mark.parametrize("d2", [0, 1])
+    def test_trajectory(self, tmp_path, n, d1, d2):
+        rng = np.random.default_rng(n + 10 * d1 + d2)
+        pos = rng.uniform(0, 1, (n, d1))
+        pos[::97] *= -1e-7
+        features = rng.normal(0.5, 0.3, (n, d2))
+        tr = Snapshots([(0.0, pos), (0.30000000000000004, pos[::-1] * 3e5)])
+        path = tmp_path / "tr.csv"
+        bio.write_trajectory_csv(path, tr, features)
+        assert path.read_bytes() == trajectory_csv(tr, features)
+
+    @pytest.mark.parametrize("d1, bins", [(1, 8193), (2, 91)])
+    def test_density_over_one_block(self, tmp_path, d1, bins):
+        """8193 and 91 * 91 = 8281 rows per snapshot."""
+        rng = np.random.default_rng(bins)
+        tr = Snapshots([(t, rng.uniform(0, 1, (5000, d1))) for t in (0.0, 2.5)])
+        path = tmp_path / "d.csv"
+        bio.write_density_csv(path, tr, bins=bins)
+        assert path.read_bytes() == density_csv(tr, bins)
 
 
 class TestMomentsCsv:
