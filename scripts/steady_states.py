@@ -30,8 +30,8 @@ def run(name, cfg, seed, M, dt):
                         b.MfiConfig(M=M, dt=dt, t_final=cfg["t_final"], seed=seed))
     fin = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
     cs = b.extract_clusters(fin, b.default_merge_tol(ps0, spec), spec)
-    w = np.array([c.weight for c in cs.clusters])
-    return cs.n_clusters, int((w >= 0.01).sum()), b.verify_steady_state(cs, spec).passed
+    return (cs.n_clusters, int((cs.weights >= 0.01).sum()),
+            b.verify_steady_state(cs, spec).passed)
 
 
 def main(argv=None):

@@ -5,7 +5,9 @@ interact only when both the position gap and the feature gap fall within
 their confidence levels.  The package provides the exact Euler integrator,
 the O(M*N) random-subset integrator, moment oracles, cluster extraction with
 steady-state verification, and shape-detection / image-segmentation pipelines
-built on top.
+built on top.  Extracted clusters come as columns: a ClusterSet holds each
+particle's cluster label and per-cluster weights, centers and feature
+statistics, and a SteadyStateReport its violating pairs as a record array.
 """
 
 from .model import (
@@ -17,7 +19,6 @@ from .model import (
     distance,
 )
 from .dynamics import (
-    Cluster,
     ClusterSet,
     IntegratorConfig,
     SteadyStateReport,

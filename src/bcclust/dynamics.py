@@ -1,4 +1,9 @@
-"""Deterministic full-interaction integrator, cluster extraction and steady-state checks."""
+"""Deterministic full-interaction integrator, cluster extraction and steady-state checks.
+
+A ClusterSet is one labelling of the particles plus per-cluster columns
+(weights, centers, feature mean, min and max); a SteadyStateReport holds its
+violating cluster pairs as one record array.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ from .model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
+    _nearest_distances,
     _reduce_abs_diff,
     _row_tiles,
     _within_mask,
@@ -63,42 +69,34 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-@dataclass(frozen=True)
-class Cluster:
-    center: np.ndarray
-    members: np.ndarray  # sorted particle indices
-    weight: float
-    feature_mean: np.ndarray
-    feature_min: np.ndarray
-    feature_max: np.ndarray
-
-
 @dataclass
 class ClusterSet:
-    clusters: list
+    """The clusters of a particle set, as one labelling and per-cluster columns.
+
+    Particle j belongs to cluster labels[j]; clusters are numbered 0..m-1 by
+    their lowest member.  Row c of each (m, ...) column describes cluster c.
+    """
+
+    labels: np.ndarray  # (n,) cluster of each particle
+    weights: np.ndarray  # (m,) fraction of the particles in each cluster
+    centers: np.ndarray  # (m, d1) mean position
+    feature_mean: np.ndarray  # (m, d2)
+    feature_min: np.ndarray  # (m, d2)
+    feature_max: np.ndarray  # (m, d2)
     features: np.ndarray  # (n, d2) static features of the source particles
-    spec: InteractionSpec
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    def centers(self) -> np.ndarray:
-        return np.array([c.center for c in self.clusters])
-
-
-@dataclass(frozen=True)
-class PairViolation:
-    i: int
-    k: int
-    center_distance: float
-    min_feature_gap: float
+        return self.weights.shape[0]
 
 
 @dataclass
 class SteadyStateReport:
+    """violations: a record array with fields i, k, center_distance and
+    min_feature_gap, one row per violating cluster pair."""
+
     passed: bool
-    violations: list
+    violations: np.recarray
 
 
 def _members(labels: np.ndarray) -> list:
@@ -248,7 +246,8 @@ def default_merge_tol(ps: ParticleSet, spec: InteractionSpec) -> float:
 
 def extract_clusters(ps: ParticleSet, merge_tol: float | None,
                      spec: InteractionSpec) -> ClusterSet:
-    """Connected components of the merge graph, numbered by their lowest member.
+    """Connected components of the merge graph, numbered by their lowest
+    member, with their weights, centers and feature statistics as columns.
 
     Edge (i, j) iff position distance <= merge_tol and feature distance <= eps2,
     under the direct gate model._within, ties included.  cells.components
@@ -261,22 +260,17 @@ def extract_clusters(ps: ParticleSet, merge_tol: float | None,
         raise ConfigError("merge_tol must be positive")
     labels = components([(ps.positions, merge_tol, spec.norm1),
                          (ps.features, spec.eps2, spec.norm2)], ps.n)
-    clusters = []
-    for idx in _members(labels):
-        f = ps.features[idx]
-        stats = ((f.mean(axis=0), f.min(axis=0), f.max(axis=0)) if ps.d2
-                 else (np.empty(0),) * 3)
-        clusters.append(Cluster(ps.positions[idx].mean(axis=0), idx,
-                                len(idx) / ps.n, *stats))
-    return ClusterSet(clusters, ps.features, spec)
-
-
-def _min_feature_gap(fa: np.ndarray, fb: np.ndarray, norm: str) -> float:
-    """Minimum cross distance between two static-feature sets, scanned in row
-    tiles of at most model._TILE_PAIRS coordinate differences."""
-    return min(float(_reduce_abs_diff(np.abs(fa[rows, None] - fb[None]),
-                                      norm, axis=2).min())
-               for rows in _row_tiles(fa.shape[0], fb.size))
+    size = np.bincount(labels)
+    # bincount adds each cluster's members in index order, as mean(axis=0)
+    # over the member rows does when they have two or more columns
+    def mean(a):
+        sums = np.array([np.bincount(labels, col) for col in a.T])
+        return sums.reshape(-1, size.size).T / size[:, None]
+    f = ps.features[np.argsort(labels, kind="stable")]
+    starts = np.cumsum(size) - size
+    return ClusterSet(labels, size / ps.n, mean(ps.positions), mean(ps.features),
+                      np.minimum.reduceat(f, starts), np.maximum.reduceat(f, starts),
+                      ps.features)
 
 
 def _sorted_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -294,17 +288,15 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
 
     A pair of clusters passes when their centers are farther than eps1 apart or
     the minimum gap between their member features exceeds eps2.  An empty
-    violation list characterizes a stationary sum of Dirac concentrations.
+    violation array characterizes a stationary sum of Dirac concentrations.
     Violations come in row-major order of the pairs (i, k), i < k.
 
     Center pairs are gated by model._within in row tiles of the upper
     triangle, so memory grows with the pairs within eps1, not with m^2.
     """
     m = cs.n_clusters
-    if m < 2:
-        return SteadyStateReport(passed=True, violations=[])
     d2 = cs.features.shape[1]
-    centers = cs.centers()
+    centers = cs.centers
     ii, kk = [], []
     for rows in _row_tiles(m, m):
         gate = _within_mask(centers, spec.eps1, spec.norm1, rows)
@@ -312,29 +304,30 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
         ii.append(i + rows.start)
         kk.append(k)
     ii, kk = np.concatenate(ii), np.concatenate(kk)
+    gap = np.zeros(ii.size)
     if d2 and ii.size:
         # componentwise interval gaps lower-bound the true member gap, so
         # box-separated pairs pass without touching member features
-        fmin = np.array([c.feature_min for c in cs.clusters])
-        fmax = np.array([c.feature_max for c in cs.clusters])
+        fmin, fmax = cs.feature_min, cs.feature_max
         box_gap = np.maximum(0.0, np.maximum(fmin[ii] - fmax[kk],
                                              fmin[kk] - fmax[ii]))
         near = _reduce_abs_diff(box_gap, spec.norm2, axis=1) <= spec.eps2
         ii, kk = ii[near], kk[near]
-    cdist = _reduce_abs_diff(np.abs(centers[ii] - centers[kk]), spec.norm1, axis=1)
-    if d2 == 1:
-        member_feats = [np.sort(cs.features[c.members, 0]) for c in cs.clusters]
-    violations = []
-    for i, k, dist in zip(ii.tolist(), kk.tolist(), cdist.tolist()):
-        if d2 == 0:
-            gap = 0.0
-        elif d2 == 1:
-            gap = _sorted_gap(member_feats[i], member_feats[k])
+        # each cluster's members are contiguous in f, sorted by feature in 1D
+        size = np.bincount(cs.labels)
+        ends = np.cumsum(size)
+        starts, ends = (ends - size).tolist(), ends.tolist()
+        if d2 == 1:
+            f = cs.features[np.lexsort((cs.features[:, 0], cs.labels)), 0]
+            pair_gap = _sorted_gap
         else:
-            gap = _min_feature_gap(cs.features[cs.clusters[i].members],
-                                   cs.features[cs.clusters[k].members],
-                                   spec.norm2)
-        if gap > spec.eps2:
-            continue
-        violations.append(PairViolation(i, k, dist, gap))
-    return SteadyStateReport(passed=not violations, violations=violations)
+            f = cs.features[np.argsort(cs.labels, kind="stable")]
+            def pair_gap(a, b):
+                return float(_nearest_distances(a, b, spec.norm2).min())
+        gap = np.array([pair_gap(f[starts[i]:ends[i]], f[starts[k]:ends[k]])
+                        for i, k in zip(ii.tolist(), kk.tolist())], dtype=float)
+    cdist = _reduce_abs_diff(np.abs(centers[ii] - centers[kk]), spec.norm1, axis=1)
+    keep = gap <= spec.eps2
+    violations = np.rec.fromarrays([ii[keep], kk[keep], cdist[keep], gap[keep]],
+                                   names="i,k,center_distance,min_feature_gap")
+    return SteadyStateReport(passed=not len(violations), violations=violations)

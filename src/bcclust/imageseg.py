@@ -191,15 +191,9 @@ def segment(img: GrayImage, spec: InteractionSpec, method: str = "auto",
     if merge_tol is None:
         merge_tol = default_merge_tol(ps0, spec)
     cs = extract_clusters(final, merge_tol, spec)
-    labels = np.empty(ps0.n, dtype=int)
-    means = np.empty(cs.n_clusters)
-    out = np.empty(ps0.n)
-    for cid, cluster in enumerate(cs.clusters):
-        labels[cluster.members] = cid
-        means[cid] = img.intensities[cluster.members].mean()
-        out[cluster.members] = means[cid]
-    return SegmentationResult(labels, means,
-                              GrayImage(img.width, img.height, out), cs)
+    means = cs.feature_mean[:, 0]  # the features are the intensities
+    return SegmentationResult(cs.labels, means,
+                              GrayImage(img.width, img.height, means[cs.labels]), cs)
 
 
 def threshold(sr: SegmentationResult, theta: float) -> GrayImage:

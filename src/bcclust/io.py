@@ -285,6 +285,30 @@ def _write_snapshot_rows(path, header, tr, prefix, values, fields, chunk,
         fh.write(b"\n")
 
 
+def _read_table(path, *prefixes):
+    """The rows of a CSV table with a header line, as a 2-d float array, and
+    the number of header columns that start with each prefix.  A header with
+    no column of the first prefix is a ConfigError, and a file without rows
+    or with a malformed row a ClusteringError, each naming the file."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    counts = [sum(h.startswith(p) for h in header) for p in prefixes]
+    if not counts[0]:
+        raise ConfigError(f"{path}: no {prefixes[0]}* columns in header")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body
+            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ClusteringError(f"{path}: {exc}") from None
+    if arr.shape[0] == 0:
+        raise ClusteringError(f"{path}: no data rows")
+    if arr.shape[1] != len(header):
+        raise ClusteringError(f"{path}: {arr.shape[1]} columns per row, "
+                              f"{len(header)} in the header")
+    return arr, counts
+
+
 # -- trajectory ---------------------------------------------------------------
 
 def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
@@ -304,15 +328,7 @@ def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
 
 def read_trajectory_csv(path):
     """Returns (times, list of ParticleSet snapshots)."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        d1 = sum(1 for h in header if h.startswith("x_"))
-        d2 = sum(1 for h in header if h.startswith("c_"))
-        if d1 < 1:
-            raise ConfigError(f"{path}: no position columns in header")
-        data = [[float(v) for v in row] for row in rd]
-    arr = np.asarray(data)
+    arr, (d1, d2) = _read_table(path, "x_", "c_")
     times = np.unique(arr[:, 0])
     sets = []
     for t in times:
@@ -339,12 +355,7 @@ def write_moments_csv(path, record) -> None:
 
 def read_moments_csv(path):
     """Returns (times, u array, E array with the full symmetric matrices)."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        d1 = sum(1 for h in header if h.startswith("u_"))
-        data = [[float(v) for v in row] for row in rd]
-    arr = np.asarray(data)
+    arr, (d1,) = _read_table(path, "u_")
     times = arr[:, 0]
     u = arr[:, 1:1 + d1]
     pairs = [(k, j) for k in range(d1) for j in range(k, d1)]
@@ -359,27 +370,19 @@ def read_moments_csv(path):
 
 def write_clusters_csv(path, cs) -> None:
     """Rows (cluster_id, weight, center coords, feature mean/min/max)."""
-    d1 = cs.centers().shape[1] if cs.n_clusters else 0
+    d1 = cs.centers.shape[1]
     d2 = cs.features.shape[1]
     header = ["cluster_id", "weight"] + [f"center_{k + 1}" for k in range(d1)]
     for stat in ("mean", "min", "max"):
         header += [f"feature_{stat}_{k + 1}" for k in range(d2)]
-    def rows():
-        for cid, c in enumerate(cs.clusters):
-            yield [cid, c.weight, *c.center, *c.feature_mean,
-                   *c.feature_min, *c.feature_max]
-    _write_csv(path, header, rows())
+    table = np.column_stack([cs.weights, cs.centers, cs.feature_mean,
+                             cs.feature_min, cs.feature_max])
+    _write_csv(path, header, ([cid, *row] for cid, row in enumerate(table.tolist())))
 
 
 def read_clusters_csv(path):
     """Returns (weights, centers, feature_means) arrays."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        d1 = sum(1 for h in header if h.startswith("center_"))
-        d2 = sum(1 for h in header if h.startswith("feature_mean_"))
-        data = [[float(v) for v in row] for row in rd]
-    arr = np.asarray(data).reshape(len(data), -1)
+    arr, (d1, d2) = _read_table(path, "center_", "feature_mean_")
     return (arr[:, 1], arr[:, 2:2 + d1], arr[:, 2 + d1:2 + d1 + d2])
 
 
@@ -388,9 +391,7 @@ def read_clusters_csv(path):
 def write_steady_state_csv(path, report) -> None:
     """One row per violating cluster pair; an empty body means stationary."""
     header = ["cluster_i", "cluster_k", "center_distance", "min_feature_gap"]
-    rows = ([v.i, v.k, v.center_distance, v.min_feature_gap]
-            for v in report.violations)
-    _write_csv(path, header, rows)
+    _write_csv(path, header, report.violations.tolist())
 
 
 # -- density histograms -------------------------------------------------------
@@ -460,25 +461,8 @@ def write_particles_csv(path, ps) -> None:
 
 def read_particles_csv(path) -> ParticleSet:
     """A particles CSV: header x_1..x_d1, c_1..c_d2, then one row per
-    particle.  A file without rows or with a malformed row is a
-    ClusteringError naming the file."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-    d1 = sum(1 for h in header if h.startswith("x_"))
-    d2 = sum(1 for h in header if h.startswith("c_"))
-    if d1 < 1:
-        raise ConfigError(f"{path}: no position columns in header")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body
-            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ClusteringError(f"{path}: {exc}") from None
-    if arr.shape[0] == 0:
-        raise ClusteringError(f"{path}: no particle rows")
-    if arr.shape[1] != len(header):
-        raise ClusteringError(f"{path}: {arr.shape[1]} columns per row, "
-                              f"{len(header)} in the header")
+    particle."""
+    arr, (d1, d2) = _read_table(path, "x_", "c_")
     return ParticleSet(arr[:, :d1], arr[:, d1:d1 + d2] if d2 else None)
 
 

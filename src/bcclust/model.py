@@ -185,6 +185,14 @@ def _row_tiles(rows: int, cols: int) -> list:
     return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
 
 
+def _nearest_distances(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
+    """Distance from each row of a to its nearest row of b, in row tiles of
+    at most _TILE_PAIRS coordinate differences."""
+    return np.concatenate([
+        _reduce_abs_diff(np.abs(a[rows, None] - b[None]), norm, axis=2).min(axis=1)
+        for rows in _row_tiles(a.shape[0], b.size)])
+
+
 def _within_mask(points: np.ndarray, eps: float, norm: str,
                  rows: slice = slice(None)) -> np.ndarray:
     """Rows `rows` of the (n, n) boolean matrix of pairs within eps under the

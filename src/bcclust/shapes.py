@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, InteractionSpec, ParticleSet, _row_tiles
+from .model import ConfigError, InteractionSpec, ParticleSet, _nearest_distances
 from .dynamics import default_merge_tol, extract_clusters
 from .mfi import MfiConfig, mfi_simulate
 from .rng import derive_seed
@@ -151,16 +151,12 @@ def perturb(pat: Pattern, ns: NoiseSpec) -> np.ndarray:
 def error_measure(cs, pat: Pattern) -> float:
     """Mean over clusters of the minimum 2-norm distance to the pattern points.
 
-    The distances are taken in row tiles of model._TILE_PAIRS center-point
-    pairs, so memory does not grow with clusters times pattern points.
+    The distances are taken in row tiles of model._TILE_PAIRS coordinate
+    differences, so memory does not grow with clusters times pattern points.
     """
     if cs.n_clusters < 1:
         raise ConfigError("empty cluster set")
-    centers = cs.centers()
-    nearest = np.concatenate([
-        np.linalg.norm(centers[rows, None, :] - pat.points[None, :, :], axis=2).min(axis=1)
-        for rows in _row_tiles(centers.shape[0], pat.n)])
-    return float(nearest.mean())
+    return float(_nearest_distances(cs.centers, pat.points, "euclidean").mean())
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ def _run_cell(task) -> SweepRow:
     cs = extract_clusters(
         ps0.with_positions(tr.final_positions, tr.snapshots[-1][0]), tol, spec)
     return SweepRow(alpha, eps1, run, seed, error_measure(cs, pat), cs.n_clusters,
-                    cs.centers())
+                    cs.centers)
 
 
 def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,

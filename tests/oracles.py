@@ -1,5 +1,6 @@
 """Brute-force reference implementations of the interaction gate, of the
-shape noise injection and of the snapshot CSV files.
+cluster columns and steady-state check, of the shape noise injection and of
+the snapshot CSV files.
 
 Each answers one question a particle at a time or over the whole (n, n)
 matrix, the way the model is written down, so tests can compare the
@@ -77,17 +78,30 @@ def pairwise_distances(points: np.ndarray, norm: str) -> np.ndarray:
     return _reduce_abs_diff(d, norm, axis=2)
 
 
+def cluster_columns(ps: ParticleSet, labels: np.ndarray) -> tuple:
+    """(weights, centers, feature_mean, feature_min, feature_max) of the
+    clusters of a labelling numbered 0..m-1, a cluster at a time from its
+    member rows in index order."""
+    order = np.argsort(labels, kind="stable")
+    rows = []
+    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+        f = ps.features[idx]
+        rows.append((len(idx) / ps.n, ps.positions[idx].mean(axis=0),
+                     f.mean(axis=0), f.min(axis=0), f.max(axis=0)))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def steady_state_violations(cs, spec: InteractionSpec) -> list:
     """(i, k, center distance, member feature gap) of every cluster pair
     i < k, in row-major order, whose centers lie within eps1 and whose
     member features come within eps2, from the full distance matrices."""
-    cdist = pairwise_distances(cs.centers(), spec.norm1)
+    cdist = pairwise_distances(cs.centers, spec.norm1)
     out = []
     for i, k in zip(*np.triu_indices(cs.n_clusters, k=1)):
         if not cdist[i, k] <= spec.eps1:
             continue
-        a = cs.features[cs.clusters[i].members]
-        b = cs.features[cs.clusters[k].members]
+        a = cs.features[cs.labels == i]
+        b = cs.features[cs.labels == k]
         gap = float(pairwise_distances(np.vstack([a, b]), spec.norm2)[:len(a), len(a):].min())
         if gap <= spec.eps2:
             out.append((int(i), int(k), float(cdist[i, k]), gap))

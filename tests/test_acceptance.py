@@ -44,7 +44,7 @@ class TestCriterion1:
             t0 = time.perf_counter()
             cs, _ = mfi_run_1d(50_000, 0.5, seed, 20.0, stream=1)
             times.append(time.perf_counter() - t0)
-            center = cs.centers()[0, 0]
+            center = cs.centers[0, 0]
             if cs.n_clusters == 1 and abs(center - 0.5) <= 0.01:
                 hits += 1
         med = float(np.median(times))
@@ -62,7 +62,7 @@ class TestCriterion2:
             t0 = time.perf_counter()
             cs, _ = mfi_run_1d(50_000, 0.15, seed, 20.0, stream=1)
             times.append(time.perf_counter() - t0)
-            centers = np.sort(cs.centers()[:, 0])
+            centers = np.sort(cs.centers[:, 0])
             if cs.n_clusters == 3 and np.all(np.diff(centers) > 0.15):
                 hits += 1
         med = float(np.median(times))

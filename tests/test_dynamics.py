@@ -20,7 +20,8 @@ from bcclust.dynamics import (
     simulate,
     verify_steady_state,
 )
-from oracles import dense_drift, pairwise_distances, steady_state_violations
+from oracles import (cluster_columns, dense_drift, pairwise_distances,
+                     steady_state_violations)
 from test_acceptance import quadrant_image
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
@@ -309,7 +310,7 @@ class TestExtractClusters:
         pos = np.array([[0.2]] * 4 + [[0.8]] * 6)
         cs = extract_clusters(ParticleSet(pos), 0.01, InteractionSpec(eps1=0.1))
         assert cs.n_clusters == 2
-        got = sorted((round(float(c.center[0]), 6), c.weight) for c in cs.clusters)
+        got = sorted((round(float(c), 6), w) for c, w in zip(cs.centers[:, 0], cs.weights))
         assert got == [(0.2, 0.4), (0.8, 0.6)]
 
     def test_single_cluster_at_mean(self):
@@ -317,8 +318,8 @@ class TestExtractClusters:
         pos = 0.5 + 1e-5 * rng.uniform(-1, 1, (20, 2))
         cs = extract_clusters(ParticleSet(pos), 1e-3, InteractionSpec(eps1=0.1))
         assert cs.n_clusters == 1
-        np.testing.assert_allclose(cs.clusters[0].center, pos.mean(axis=0))
-        assert cs.clusters[0].weight == 1.0
+        np.testing.assert_allclose(cs.centers[0], pos.mean(axis=0))
+        assert cs.weights[0] == 1.0
 
     def test_feature_gate_splits_colocated_particles(self):
         pos = np.full((6, 1), 0.5)
@@ -331,13 +332,13 @@ class TestExtractClusters:
         rng = np.random.default_rng(4)
         ps = ParticleSet(rng.uniform(0, 1, (40, 2)))
         cs = extract_clusters(ps, 0.15, InteractionSpec(eps1=0.1))
-        all_members = np.concatenate([c.members for c in cs.clusters])
-        assert sorted(all_members.tolist()) == list(range(40))
-        assert sum(c.weight for c in cs.clusters) == pytest.approx(1.0)
-        for c in cs.clusters:
-            lo = ps.positions[c.members].min(axis=0) - 1e-12
-            hi = ps.positions[c.members].max(axis=0) + 1e-12
-            assert np.all(c.center >= lo) and np.all(c.center <= hi)
+        assert cs.labels.shape == (40,)
+        assert set(cs.labels.tolist()) == set(range(cs.n_clusters))
+        assert sum(cs.weights) == pytest.approx(1.0)
+        for cid, center in enumerate(cs.centers):
+            lo = ps.positions[cs.labels == cid].min(axis=0) - 1e-12
+            hi = ps.positions[cs.labels == cid].max(axis=0) + 1e-12
+            assert np.all(center >= lo) and np.all(center <= hi)
 
     def test_merge_tol_must_be_positive(self):
         ps = ParticleSet([[0.0]])
@@ -360,9 +361,36 @@ class TestExtractClusters:
         spec = InteractionSpec(eps1=0.1, eps2=eps2, norm1=norm1, norm2=norm2)
         with mock.patch.object(model, "_TILE_PAIRS", chunk):
             cs = extract_clusters(ps, merge_tol, spec)
-        got = [c.members.tolist() for c in cs.clusters]
+        got = [np.flatnonzero(cs.labels == cid).tolist() for cid in range(cs.n_clusters)]
         assert {frozenset(m) for m in got} == brute_force_components(ps, merge_tol, spec)
         assert [m[0] for m in got] == sorted(m[0] for m in got)
+
+    @given(grid_cases(), NORM, NORM)
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_per_cluster_loop(self, case, norm1, norm2):
+        """Labels number the brute-force components by their lowest member,
+        and the columns equal a cluster-at-a-time reduction over the member
+        rows: bit for bit but for a one-column mean, which numpy sums
+        pairwise and bincount sequentially."""
+        ps, merge_tol, eps2 = case
+        spec = InteractionSpec(eps1=0.1, eps2=eps2, norm1=norm1, norm2=norm2)
+        cs = extract_clusters(ps, merge_tol, spec)
+        want = np.empty(ps.n, dtype=int)
+        for cid, comp in enumerate(sorted(brute_force_components(ps, merge_tol, spec),
+                                          key=min)):
+            want[list(comp)] = cid
+        np.testing.assert_array_equal(cs.labels, want)
+        weights, centers, fmean, fmin, fmax = cluster_columns(ps, want)
+        np.testing.assert_array_equal(cs.weights, weights)
+        np.testing.assert_array_equal(cs.feature_min, fmin)
+        np.testing.assert_array_equal(cs.feature_max, fmax)
+        for got, ref in ((cs.centers, centers), (cs.feature_mean, fmean)):
+            assert got.shape == ref.shape
+            if ref.shape[1] >= 2:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
 
 
 class TestVerifySteadyState:
@@ -372,6 +400,16 @@ class TestVerifySteadyState:
         spec = InteractionSpec(eps1=eps1, eps2=eps2)
         cs = extract_clusters(ps, 1e-9, spec)
         return cs, spec
+
+    @pytest.mark.parametrize("feats", [None, [[0.3]]])
+    def test_single_cluster_passes_with_empty_record(self, feats):
+        cs, spec = self._clusters([0.5], eps1=0.15, feats=feats, eps2=0.1)
+        assert cs.n_clusters == 1
+        rep = verify_steady_state(cs, spec)
+        assert rep.passed and len(rep.violations) == 0
+        assert rep.violations.dtype.names == ("i", "k", "center_distance",
+                                              "min_feature_gap")
+        assert [rep.violations.dtype[f].kind for f in range(4)] == ["i", "i", "f", "f"]
 
     def test_far_separation_passes(self):
         cs, spec = self._clusters([0.1, 0.9], eps1=0.15)

@@ -2,13 +2,14 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bcclust import io as bio
-from bcclust.model import ConfigError, InteractionSpec, ParticleSet
+from bcclust.model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import IntegratorConfig, extract_clusters, simulate, \
     verify_steady_state
 from bcclust.mfi import MfiConfig, mfi_simulate
@@ -248,10 +249,25 @@ class TestClustersCsv:
         path = tmp_path / "c.csv"
         bio.write_clusters_csv(path, cs)
         weights, centers, fmeans = bio.read_clusters_csv(path)
-        np.testing.assert_array_equal(weights, [c.weight for c in cs.clusters])
-        np.testing.assert_array_equal(centers, cs.centers())
-        np.testing.assert_array_equal(
-            fmeans, np.array([c.feature_mean for c in cs.clusters]))
+        np.testing.assert_array_equal(weights, cs.weights)
+        np.testing.assert_array_equal(centers, cs.centers)
+        np.testing.assert_array_equal(fmeans, cs.feature_mean)
+
+
+class TestReadersRejectBadFiles:
+    @pytest.mark.parametrize("reader, header", [
+        (bio.read_trajectory_csv, "t,i,x_1"),
+        (bio.read_moments_csv, "t,u_1,E_11"),
+        (bio.read_clusters_csv, "cluster_id,weight,center_1"),
+    ])
+    @pytest.mark.parametrize("body", ["", "0,1,abc\n", "0,1,0.5\n0,1\n"])
+    def test_clustering_error_names_file(self, tmp_path, reader, header, body):
+        """A header-only file, a non-numeric cell and a short row each raise
+        ClusteringError naming the file, as read_particles_csv does."""
+        path = tmp_path / "t.csv"
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ClusteringError, match=re.escape(str(path))):
+            reader(path)
 
 
 class TestSteadyStateCsv:

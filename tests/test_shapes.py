@@ -210,7 +210,7 @@ class TestErrorMeasure:
         """The score equals the untiled one bit for bit at any tile size."""
         pat = generate_letter_A(90)
         cs = self._cluster_set(np.random.default_rng(7).uniform(0, 1, (40, 2)))
-        d = np.linalg.norm(cs.centers()[:, None] - pat.points[None], axis=2)
+        d = np.linalg.norm(cs.centers[:, None] - pat.points[None], axis=2)
         with mock.patch.object(model, "_TILE_PAIRS", tile):
             assert error_measure(cs, pat) == float(d.min(axis=1).mean())
 
