@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from . import model
-from .model import InteractionSpec, ParticleSet, _within, bbox_diameter
+from .model import InteractionSpec, ParticleSet, _interacts, _within, bbox_diameter
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class CandidatePool:
 
     def gate(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether j is in N_i, elementwise over broadcast index arrays."""
-        ok = _within(self.ps.positions, i, j, self.spec.eps1, self.spec.norm1)
-        if self.ps.d2 > 0:
-            ok &= _within(self.ps.features, i, j, self.spec.eps2, self.spec.norm2)
-        return ok
+        return _interacts(self.ps.positions, self.ps.features, i, j, self.spec)
 
 
 def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:

@@ -29,19 +29,23 @@ from .shapes import generate_letter_A, load_segments, sample_segments, sweep
 _EXIT_OK, _EXIT_RUNTIME, _EXIT_USAGE = 0, 1, 2
 
 
-def _resolve(args, defaults: dict, casts: dict) -> dict:
+def _resolve(args, defaults: dict) -> dict:
     """flags > config file (a manifest, say; '-' in keys read as '_') >
-    defaults.  Returns the fully resolved dict; a bad config value is a
-    ConfigError."""
+    defaults.  Returns the fully resolved dict.  A config value takes its
+    flag's own type and choices; a bad one is a ConfigError."""
     cfg = {}
     if getattr(args, "config", None):
         cfg = {k.replace("-", "_"): v for k, v in bio.read_manifest(args.config).items()}
+    actions = {a.dest: a for a in args.parser._actions}
     out = {}
     for key, dflt in defaults.items():
         val = getattr(args, key, None)
         if val is None and key in cfg:
+            action = actions[key]
             try:
-                val = casts.get(key, str)(cfg[key])
+                val = (action.type or str)(cfg[key])
+                if action.choices is not None and val not in action.choices:
+                    raise ValueError(f"choose from {', '.join(action.choices)}")
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{args.config}: {key} = {cfg[key]!r}: {exc}") from None
         if val is None:
@@ -81,9 +85,6 @@ _SIM_DEFAULTS = dict(n=50000, d1=1, init="uniform", init_file=None, eps1=None,
                      mode=None, method="mfi", M=10, dt=0.5, t_final=20.0,
                      stop_tol=1e-8, record_every=1, seed=0, bins=100,
                      merge_tol=None, out_dir="out")
-_SIM_CASTS = dict(n=int, d1=int, eps1=float, eps2=float, M=int, dt=float,
-                  t_final=float, stop_tol=float, record_every=int, seed=int,
-                  bins=int, merge_tol=float)
 
 
 def _initial_particles(p: dict) -> ParticleSet:
@@ -102,7 +103,7 @@ def _initial_particles(p: dict) -> ParticleSet:
 
 
 def cmd_simulate(args) -> int:
-    p = _resolve(args, _SIM_DEFAULTS, _SIM_CASTS)
+    p = _resolve(args, _SIM_DEFAULTS)
     if p["eps1"] is None:
         raise ConfigError("--eps1 is required")
     if p["mode"] is None:
@@ -141,13 +142,10 @@ _SHAPE_DEFAULTS = dict(pattern="letterA", pattern_file=None, n=5000,
                        alpha_list=None, eps1_list=None, noise="uniform",
                        runs=1, seed=0, M=10, dt=0.5, t_final=50.0,
                        mode="stochastic", merge_tol=None, out_dir="out")
-_SHAPE_CASTS = dict(n=int, alpha_list=_float_list, eps1_list=_float_list,
-                    runs=int, seed=int, M=int, dt=float, t_final=float,
-                    merge_tol=float)
 
 
 def cmd_shape(args) -> int:
-    p = _resolve(args, _SHAPE_DEFAULTS, _SHAPE_CASTS)
+    p = _resolve(args, _SHAPE_DEFAULTS)
     if not p["alpha_list"] or not p["eps1_list"]:
         raise ConfigError("--alpha-list and --eps1-list must be nonempty")
     if p["pattern"] == "letterA":
@@ -185,12 +183,10 @@ _SEG_DEFAULTS = dict(input=None, eps1=None, eps2=None, norm1="euclidean",
                      norm2="euclidean", mode="stochastic", threshold=None,
                      method="auto", M=10, dt=0.5, t_final=50.0, stop_tol=1e-8,
                      seed=0, merge_tol=None, format="P5", out_dir="out")
-_SEG_CASTS = dict(eps1=float, eps2=float, threshold=float, M=int, dt=float,
-                  t_final=float, stop_tol=float, seed=int, merge_tol=float)
 
 
 def cmd_segment(args) -> int:
-    p = _resolve(args, _SEG_DEFAULTS, _SEG_CASTS)
+    p = _resolve(args, _SEG_DEFAULTS)
     if not p["input"]:
         raise ConfigError("--input is required")
     if p["eps1"] is None or p["eps2"] is None:
@@ -220,8 +216,6 @@ def cmd_segment(args) -> int:
 
 _BENCH_DEFAULTS = dict(n_list=None, M_list=None, steps=5, eps1=0.15,
                        seed=0, out_dir="out")
-_BENCH_CASTS = dict(n_list=_int_list, M_list=_int_list, steps=int,
-                    eps1=float, seed=int)
 
 
 _BENCH_BURST = 3
@@ -263,7 +257,7 @@ def _time_grid(grid: list, steps: int, eps1: float, seed: int) -> list:
 
 
 def cmd_bench(args) -> int:
-    p = _resolve(args, _BENCH_DEFAULTS, _BENCH_CASTS)
+    p = _resolve(args, _BENCH_DEFAULTS)
     if not p["n_list"] or not p["M_list"]:
         raise ConfigError("--n-list and --M-list must be nonempty")
     if p["steps"] < 1:
@@ -319,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--bins", type=int, help="density histogram bins per axis")
     sim.add_argument("--merge-tol", type=float)
     sim.add_argument("--out-dir")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, parser=sim)
 
     sh = sub.add_parser("shape", help="noise/confidence sweep for pattern "
                         "detection (letter A or a segment file)")
@@ -338,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--mode", choices=["symmetric", "stochastic"])
     sh.add_argument("--merge-tol", type=float)
     sh.add_argument("--out-dir")
-    sh.set_defaults(func=cmd_shape)
+    sh.set_defaults(func=cmd_shape, parser=sh)
 
     seg = sub.add_parser("segment", help="grayscale PGM segmentation")
     seg.add_argument("--config")
@@ -360,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--merge-tol", type=float)
     seg.add_argument("--format", choices=["P2", "P5"])
     seg.add_argument("--out-dir")
-    seg.set_defaults(func=cmd_segment)
+    seg.set_defaults(func=cmd_segment, parser=seg)
 
     be = sub.add_parser("bench", help="step-time scaling over an (n, M) grid; "
                         "M >= n benches the full deterministic step")
@@ -371,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--eps1", type=float)
     be.add_argument("--seed", type=int)
     be.add_argument("--out-dir")
-    be.set_defaults(func=cmd_bench)
+    be.set_defaults(func=cmd_bench, parser=be)
     return ap
 
 

@@ -16,6 +16,7 @@ from .model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
+    _interacts,
     _nearest_distances,
     _reduce_abs_diff,
     _row_tiles,
@@ -110,36 +111,27 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
 
     Two particles in different components never interact, and features never
     move, so the components hold for a whole run.  They are found by
-    cells.components for any number of features.  Returns one (idx, fmask)
+    cells.components for any number of features.  Returns one (idx, spread)
     pair per component of two or more particles, in the order of their lowest
-    members: idx its sorted indices, fmask its own (|C|, |C|) feature gate, or
-    None when the component's feature bounding box lies within eps2 and every
-    pair passes.  A particle alone in its component has zero drift and is
-    left out.
+    members: idx its sorted indices, spread whether its feature bounding box
+    exceeds eps2, so that its pairs need the feature test; when it does not,
+    every pair passes.  A particle alone in its component has zero drift and
+    is left out.
     """
-    blocks = []
-    for idx in _members(components([(ps.features, spec.eps2, spec.norm2)], ps.n)):
-        if idx.size < 2:
-            continue
-        f = ps.features[idx]
-        fmask = None
-        if bbox_diameter(f, spec.norm2) > spec.eps2:
-            fmask = np.empty((idx.size, idx.size), dtype=bool)
-            for rows in _row_tiles(idx.size, idx.size):
-                fmask[rows] = _within_mask(f, spec.eps2, spec.norm2, rows)
-        blocks.append((idx, fmask))
-    return blocks
+    return [(idx, bbox_diameter(ps.features[idx], spec.norm2) > spec.eps2)
+            for idx in _members(components([(ps.features, spec.eps2, spec.norm2)], ps.n))
+            if idx.size > 1]
 
 
-def _dense_drift(xc: np.ndarray, fmask: np.ndarray | None, spec: InteractionSpec,
+def _dense_drift(xc: np.ndarray, fc: np.ndarray | None, spec: InteractionSpec,
                  n: int) -> np.ndarray:
-    """Drift of one block of an n-particle set from its gate, in row tiles of
-    model._TILE_PAIRS pairs."""
+    """Drift of one block of an n-particle set, its positions xc and its
+    features fc (None when every pair passes the feature test), gated by
+    model._interacts in row tiles of model._TILE_PAIRS pairs."""
     vc = np.empty_like(xc)
+    idx = np.arange(xc.shape[0])
     for rows in _row_tiles(xc.shape[0], xc.shape[0]):
-        gate = _within_mask(xc, spec.eps1, spec.norm1, rows)
-        if fmask is not None:
-            gate &= fmask[rows]
+        gate = _interacts(xc, fc, idx[rows, None], idx[None, :], spec)
         deg = gate.sum(axis=1)
         sigma = float(n) if spec.sigma_mode == "symmetric" else deg[:, None]
         vc[rows] = (gate.astype(float) @ xc - deg[:, None] * xc[rows]) / sigma
@@ -156,20 +148,21 @@ def _drift(ps: ParticleSet, spec: InteractionSpec,
     feature bounding boxes lie within eps1 and eps2 interacts pair by pair,
     and its velocity collapses to (mean_C - x), times |C|/n in symmetric
     mode: O(|C|).  Any other block is gated densely, O(|C|^2) time, in row
-    tiles of bounded memory.
+    tiles of bounded memory; only a block whose features spread over more
+    than eps2 takes the feature test there.
     """
     x = ps.positions
     if blocks is None:
         blocks = _feature_blocks(ps, spec)
     v = np.zeros_like(x)
-    for idx, fmask in blocks:
+    for idx, spread in blocks:
         xc = x[idx]
-        if fmask is None and bbox_diameter(xc, spec.norm1) <= spec.eps1:
+        if not spread and bbox_diameter(xc, spec.norm1) <= spec.eps1:
             vc = xc.mean(axis=0)[None, :] - xc
             if spec.sigma_mode == "symmetric":
                 vc *= idx.size / ps.n
         else:
-            vc = _dense_drift(xc, fmask, spec, ps.n)
+            vc = _dense_drift(xc, ps.features[idx] if spread else None, spec, ps.n)
         v[idx] = vc
     return v
 
@@ -222,9 +215,9 @@ def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig) -> 
     """Iterate euler_step to t_final (or early stop), recording snapshots and moments.
 
     The static-feature blocks (see _feature_blocks) are found once, before
-    the first step, for any number of features.  A step then costs O(|C|^2)
-    for each block C that has not collapsed within eps1 and O(|C|) for each
-    one that has.
+    the first step, and nothing else is kept for the run.  A step then costs
+    O(|C|^2) time in row tiles for each block C that has not collapsed within
+    eps1 and O(|C|) for each one that has.
     """
     meta = {"method": "euler", "dt": cfg.dt, "t_final": cfg.t_final,
             "sigma_mode": spec.sigma_mode}
@@ -244,7 +237,7 @@ def default_merge_tol(ps: ParticleSet, spec: InteractionSpec) -> float:
     return 1e-3 * diam if diam > 0 else 1e-9
 
 
-def extract_clusters(ps: ParticleSet, merge_tol: float | None,
+def extract_clusters(ps: ParticleSet, merge_tol: float,
                      spec: InteractionSpec) -> ClusterSet:
     """Connected components of the merge graph, numbered by their lowest
     member, with their weights, centers and feature statistics as columns.
@@ -252,10 +245,9 @@ def extract_clusters(ps: ParticleSet, merge_tol: float | None,
     Edge (i, j) iff position distance <= merge_tol and feature distance <= eps2,
     under the direct gate model._within, ties included.  cells.components
     finds them on a grid, the same finder that splits the Euler blocks.
-    merge_tol None means default_merge_tol(ps, spec).
+    Callers take merge_tol from default_merge_tol of the initial set, not
+    of the collapsed state passed here.
     """
-    if merge_tol is None:
-        merge_tol = default_merge_tol(ps, spec)
     if merge_tol <= 0:
         raise ConfigError("merge_tol must be positive")
     labels = components([(ps.positions, merge_tol, spec.norm1),
@@ -307,12 +299,15 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     gap = np.zeros(ii.size)
     if d2 and ii.size:
         # componentwise interval gaps lower-bound the true member gap, so
-        # box-separated pairs pass without touching member features
+        # box-separated pairs pass without touching member features, and
+        # equal it when both clusters' features are single points
         fmin, fmax = cs.feature_min, cs.feature_max
-        box_gap = np.maximum(0.0, np.maximum(fmin[ii] - fmax[kk],
-                                             fmin[kk] - fmax[ii]))
-        near = _reduce_abs_diff(box_gap, spec.norm2, axis=1) <= spec.eps2
-        ii, kk = ii[near], kk[near]
+        box_gap = _reduce_abs_diff(np.maximum(0.0, np.maximum(
+            fmin[ii] - fmax[kk], fmin[kk] - fmax[ii])), spec.norm2, axis=1)
+        near = box_gap <= spec.eps2
+        ii, kk, gap = ii[near], kk[near], box_gap[near]
+        point = (fmin == fmax).all(axis=1)
+        spread = np.flatnonzero(~(point[ii] & point[kk]))
         # each cluster's members are contiguous in f, sorted by feature in 1D
         size = np.bincount(cs.labels)
         ends = np.cumsum(size)
@@ -324,8 +319,8 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
             f = cs.features[np.argsort(cs.labels, kind="stable")]
             def pair_gap(a, b):
                 return float(_nearest_distances(a, b, spec.norm2).min())
-        gap = np.array([pair_gap(f[starts[i]:ends[i]], f[starts[k]:ends[k]])
-                        for i, k in zip(ii.tolist(), kk.tolist())], dtype=float)
+        gap[spread] = [pair_gap(f[starts[i]:ends[i]], f[starts[k]:ends[k]])
+                       for i, k in zip(ii[spread].tolist(), kk[spread].tolist())]
     cdist = _reduce_abs_diff(np.abs(centers[ii] - centers[kk]), spec.norm1, axis=1)
     keep = gap <= spec.eps2
     violations = np.rec.fromarrays([ii[keep], kk[keep], cdist[keep], gap[keep]],

@@ -11,13 +11,12 @@ from .model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
 from .dynamics import IntegratorConfig, default_merge_tol, extract_clusters, simulate
 from .mfi import MfiConfig, mfi_simulate
 
-# Largest pixel count handled by the exact integrator by default.  Its step
-# costs O(|C|^2) time for each static-feature component C of the pixels that
-# has not collapsed within eps1, and O(|C|) for each one that has.  Its float
-# temporaries are row tiles of 1 MiB each, but a component whose intensities
-# spread over more than eps2 keeps a |C| x |C| byte feature mask for the run
-# (256 MiB at this limit).  All pixels form one component when no gap between
-# sorted intensities exceeds eps2.
+# Largest pixel count handled by the exact integrator by default.  The limit
+# is set by time: a step costs O(|C|^2) time for each static-feature component
+# C of the pixels that has not collapsed within eps1, and O(|C|) for each one
+# that has, so at this limit a step over one spread component takes seconds.
+# All pixels form one component when no gap between sorted intensities
+# exceeds eps2.  Memory is no limit: a step keeps row tiles of 1 MiB.
 DETERMINISTIC_PIXEL_LIMIT = 2**14
 
 

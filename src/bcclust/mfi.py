@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import candidate_pool
-from .model import ConfigError, InteractionSpec, ParticleSet, _within
+from .model import ConfigError, InteractionSpec, ParticleSet, _interacts
 from .rng import RngStream
 from .dynamics import Trajectory, _check_schedule, _run
 
@@ -53,9 +53,7 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int) -> 
     sub = RngStream(cfg.seed).subsets(k, cfg.M, pool).T  # (M, n)
     if symmetric:
         i = np.arange(ps.n)
-        ok = (_within(x, i, sub, spec.eps1, spec.norm1)
-              & _within(ps.features, i, sub, spec.eps2, spec.norm2))
-        sub = np.where(ok, sub, -1)
+        sub = np.where(_interacts(x, ps.features, i, sub, spec), sub, -1)
     # Every partner left is in N_i.  A -1, for a partner dropped by the gate
     # or for the padding of a small neighborhood, picks the zero appended to
     # each coordinate column.

@@ -13,12 +13,12 @@ import numpy as np
 NORMS = ("euclidean", "max", "manhattan")
 SIGMA_MODES = ("symmetric", "stochastic")
 
-# Pairs of every dense pairwise evaluation done at once: gates, feature
-# masks, cross checks and nearest distances.  At 2**17 pairs a float
-# temporary is 1 MiB, so the two that _within keeps alive and the tile's bool
-# gate fit a 2 MiB per-core L2 cache, and the allocator reuses them from its
-# heap instead of mapping fresh pages on every call (cache blocking, as for
-# GEMM in Goto & van de Geijn, ACM TOMS 34(3), 2008).
+# Pairs of every dense pairwise evaluation done at once: gates, cross checks
+# and nearest distances.  At 2**17 pairs a float temporary is 1 MiB, so the
+# two that _within keeps alive and the tile's bool gate fit a 2 MiB per-core
+# L2 cache, and the allocator reuses them from its heap instead of mapping
+# fresh pages on every call (cache blocking, as for GEMM in Goto & van de
+# Geijn, ACM TOMS 34(3), 2008).
 _TILE_PAIRS = 2**17
 
 
@@ -176,6 +176,18 @@ def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     if norm == "euclidean":
         np.sqrt(acc, out=acc)
     return acc <= eps
+
+
+def _interacts(positions: np.ndarray, features: np.ndarray | None, i, j,
+               spec: InteractionSpec) -> np.ndarray:
+    """The interaction gate of every integrator: within eps1 in position and
+    eps2 in feature, elementwise over broadcast index arrays.  The feature
+    test is skipped when features is None (every pair is known to pass it),
+    has no column, or eps2 is infinite."""
+    ok = _within(positions, i, j, spec.eps1, spec.norm1)
+    if features is not None and features.shape[1] and np.isfinite(spec.eps2):
+        ok &= _within(features, i, j, spec.eps2, spec.norm2)
+    return ok
 
 
 def _row_tiles(rows: int, cols: int) -> list:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,11 +61,22 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("cmd, line", [
         ("simulate", "n = abc"), ("simulate", "merge_tol = None"),
+        ("simulate", "norm1 = l2"),
         ("shape", "alpha_list = ,"), ("segment", "eps2 = 0.3x"),
-        ("bench", "n_list = 1 two")])
-    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, cmd, line):
+        ("segment", "format = P7"), ("bench", "n_list = 1 two")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                             cmd, line):
+        """A config value is checked against its flag's type and choices
+        before anything runs; the error names the key."""
+        text = line + "\n"
+        if cmd == "segment":
+            # a runnable segmentation, so only the bad line can stop it
+            img = tmp_path / "img.pgm"
+            write_image(GrayImage(4, 4, np.linspace(0, 1, 16)), img)
+            text = f"input = {img}\neps1 = 0.5\neps2 = 0.3\n" + text
+            monkeypatch.setattr("bcclust.cli.segment", mock.Mock(side_effect=AssertionError))
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_text(text)
         assert run([cmd, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
 

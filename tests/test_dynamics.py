@@ -193,7 +193,8 @@ class TestBlockedDrift:
         np.testing.assert_allclose(blocked, dense_drift(ps, spec), rtol=0, atol=1e-12)
 
     def test_step_memory_bounded_in_one_component(self):
-        """A block that has not collapsed is gated in chunks, not n x n."""
+        """A block whose positions and features both spread is gated in row
+        tiles, features inside each tile: no n x n feature mask."""
         rng = np.random.default_rng(0)
         n = 8192
         ps = ParticleSet(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 1)))
@@ -205,7 +206,7 @@ class TestBlockedDrift:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**20
+        assert peak < 8 * 2**20
 
     def test_step_memory_fits_tiles(self):
         """A dense step over 8192 featureless particles allocates a few row
@@ -446,6 +447,28 @@ class TestVerifySteadyState:
         got = [(v.i, v.k, v.center_distance, v.min_feature_gap) for v in rep.violations]
         assert got == steady_state_violations(cs, spec)
         assert rep.passed == (not got)
+
+    @pytest.mark.parametrize("d2", [1, 2])
+    @pytest.mark.parametrize("norm2", ["euclidean", "max", "manhattan"])
+    def test_point_feature_pairs_need_no_member_gap(self, d2, norm2):
+        """Between clusters whose features are each a single point, the box
+        gap is the member gap: no pair takes the member loop, and the report
+        is the oracle's."""
+        rng = np.random.default_rng(d2)
+        # 40 distinct positions, nine of them on eighths, each shared by its
+        # cluster's members; features on eighths, so gaps of exactly eps2 occur
+        groups = rng.integers(0, 40, 120)
+        pos = np.append(np.arange(9) / 8, rng.uniform(0, 1, 31))[groups, None]
+        feat = (rng.integers(0, 9, (40, d2)) / 8)[groups]
+        spec = InteractionSpec(eps1=0.25, eps2=0.25, norm2=norm2)
+        cs = extract_clusters(ParticleSet(pos, feat), 1e-9, spec)
+        assert (cs.feature_min == cs.feature_max).all()
+        with mock.patch.object(dynamics, "_sorted_gap", side_effect=AssertionError), \
+                mock.patch.object(dynamics, "_nearest_distances",
+                                  side_effect=AssertionError):
+            rep = verify_steady_state(cs, spec)
+        got = [(v.i, v.k, v.center_distance, v.min_feature_gap) for v in rep.violations]
+        assert got and got == steady_state_violations(cs, spec)
 
     def test_memory_bounded_for_many_singletons(self):
         """5000 isolated centers are gated in row tiles, never as an
