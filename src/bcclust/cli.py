@@ -20,52 +20,61 @@ import numpy as np
 from . import io as bio
 from .dynamics import (IntegratorConfig, default_merge_tol, extract_clusters,
                        euler_step, simulate, verify_steady_state)
-from .imageseg import GrayImage, load_grayscale, segment, threshold, write_image
+from .imageseg import load_grayscale, segment, threshold, write_image
 from .mfi import MfiConfig, mfi_simulate, mfi_step
-from .model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
+from .model import (NORMS, SIGMA_MODES, ClusteringError, ConfigError,
+                    InteractionSpec, ParticleSet)
 from .rng import derive_seed
 from .shapes import generate_letter_A, load_segments, sample_segments, sweep
 
 _EXIT_OK, _EXIT_RUNTIME, _EXIT_USAGE = 0, 1, 2
 
+# Each subcommand's parameters, one (flag, type or choices, default[, help])
+# entry each.  The entry makes the flag and parses its config-file value; a
+# parameter with the default _REQUIRED must be set by one or the other, and
+# one with the default None may stay unset (and out of the manifest).
+_REQUIRED = object()
 
-def _resolve(args, defaults: dict) -> dict:
+
+def _list(cast):
+    """Flag type: a nonempty list of cast values separated by spaces or
+    commas."""
+    def parse(s: str) -> list:
+        vals = [cast(v) for v in s.replace(",", " ").split()]
+        if not vals:
+            raise argparse.ArgumentTypeError("empty list")
+        return vals
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
+
+
+def _resolve(args) -> dict:
     """flags > config file (a manifest, say; '-' in keys read as '_') >
-    defaults.  Returns the fully resolved dict.  A config value takes its
-    flag's own type and choices; a bad one is a ConfigError."""
+    defaults.  A config value is parsed by its parameter's entry; a bad one,
+    or a required parameter left unset, is a ConfigError."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg = {k.replace("-", "_"): v for k, v in bio.read_manifest(args.config).items()}
-    actions = {a.dest: a for a in args.parser._actions}
-    out = {}
-    for key, dflt in defaults.items():
-        val = getattr(args, key, None)
+    p, missing = {}, []
+    for flag, kind, default, *_ in args.params:
+        key = flag[2:].replace("-", "_")
+        val = getattr(args, key)
         if val is None and key in cfg:
-            action = actions[key]
             try:
-                val = (action.type or str)(cfg[key])
-                if action.choices is not None and val not in action.choices:
-                    raise ValueError(f"choose from {', '.join(action.choices)}")
+                if callable(kind):
+                    val = kind(cfg[key])
+                elif cfg[key] in kind:
+                    val = cfg[key]
+                else:
+                    raise ValueError(f"choose from {', '.join(kind)}")
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{args.config}: {key} = {cfg[key]!r}: {exc}") from None
-        if val is None:
-            val = dflt
-        out[key] = val
-    return out
-
-
-def _float_list(s: str):
-    vals = [float(v) for v in s.replace(",", " ").split()]
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
-
-
-def _int_list(s: str):
-    vals = [int(v) for v in s.replace(",", " ").split()]
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
+        p[key] = default if val is None else val
+        if p[key] is _REQUIRED:
+            missing.append(flag)
+    if missing:
+        raise ConfigError(f"{', '.join(missing)}: required, set by flag or --config")
+    return p
 
 
 def _spec_from(p: dict) -> InteractionSpec:
@@ -78,46 +87,48 @@ def _out(p: dict, name: str) -> str:
     return os.path.join(p["out_dir"], name)
 
 
+_STOP_TOL_HELP = ("exact integrator (--method euler) only: stop once the max "
+                  "per-step displacement drops below this; the subset "
+                  "integrator (--method mfi) always runs to --t-final")
+
+
 # -- simulate -----------------------------------------------------------------
 
-_SIM_DEFAULTS = dict(n=50000, d1=1, init="uniform", init_file=None, eps1=None,
-                     eps2=float("inf"), norm1="euclidean", norm2="euclidean",
-                     mode=None, method="mfi", M=10, dt=0.5, t_final=20.0,
-                     stop_tol=1e-8, record_every=1, seed=0, bins=100,
-                     merge_tol=None, out_dir="out")
+_SIMULATE = (
+    ("--n", int, 50000), ("--d1", int, 1),
+    ("--init", ("uniform", "gaussian-feature", "file"), "uniform"),
+    ("--init-file", str, None), ("--eps1", float, _REQUIRED),
+    ("--eps2", float, float("inf")), ("--norm1", NORMS, "euclidean"),
+    ("--norm2", NORMS, "euclidean"), ("--mode", SIGMA_MODES, _REQUIRED),
+    ("--method", ("euler", "mfi"), "mfi"), ("--M", int, 10),
+    ("--dt", float, 0.5), ("--t-final", float, 20.0),
+    ("--stop-tol", float, 1e-8, _STOP_TOL_HELP), ("--record-every", int, 1),
+    ("--seed", int, 0),
+    ("--bins", int, 100, "density histogram bins per axis"),
+    ("--merge-tol", float, None), ("--out-dir", str, "out"))
 
 
 def _initial_particles(p: dict) -> ParticleSet:
-    rng = np.random.default_rng(derive_seed(p["seed"], 0xA11CE))
-    if p["init"] == "uniform":
-        return ParticleSet(rng.uniform(0.0, 1.0, size=(p["n"], p["d1"])))
-    if p["init"] == "gaussian-feature":
-        x = rng.uniform(0.0, 1.0, size=(p["n"], 1))
-        c = 0.5 + np.sqrt(0.3) * rng.standard_normal((p["n"], 1))
-        return ParticleSet(x, c)
     if p["init"] == "file":
         if not p["init_file"]:
             raise ConfigError("--init file requires --init-file")
         return bio.read_particles_csv(p["init_file"])
-    raise ConfigError(f"unknown init {p['init']!r}")
+    rng = np.random.default_rng(derive_seed(p["seed"], 0xA11CE))
+    x = rng.uniform(0.0, 1.0, size=(p["n"], p["d1"]))
+    if p["init"] == "uniform":
+        return ParticleSet(x)
+    return ParticleSet(x, 0.5 + np.sqrt(0.3) * rng.standard_normal((p["n"], 1)))
 
 
-def cmd_simulate(args) -> int:
-    p = _resolve(args, _SIM_DEFAULTS)
-    if p["eps1"] is None:
-        raise ConfigError("--eps1 is required")
-    if p["mode"] is None:
-        raise ConfigError("--mode is required (symmetric or stochastic)")
+def cmd_simulate(p: dict) -> None:
     spec = _spec_from(p)
     ps0 = _initial_particles(p)
     if p["method"] == "euler":
         tr = simulate(ps0, spec, IntegratorConfig(p["dt"], p["t_final"],
                                                   p["stop_tol"], p["record_every"]))
-    elif p["method"] == "mfi":
+    else:
         tr = mfi_simulate(ps0, spec, MfiConfig(p["M"], p["dt"], p["t_final"],
                                                p["seed"], p["record_every"]))
-    else:
-        raise ConfigError(f"unknown method {p['method']!r}")
     final = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
     merge_tol = p["merge_tol"]
     if merge_tol is None:
@@ -128,34 +139,32 @@ def cmd_simulate(args) -> int:
     bio.write_moments_csv(_out(p, "moments.csv"), tr.moments)
     bio.write_clusters_csv(_out(p, "clusters.csv"), cs)
     bio.write_steady_state_csv(_out(p, "steady_state.csv"), report)
-    bio.write_density_csv(_out(p, "density.csv"), tr, p["bins"])
-    p["command"] = "simulate"
-    bio.write_manifest(_out(p, "manifest.txt"), p)
+    if ps0.d1 <= 2:
+        bio.write_density_csv(_out(p, "density.csv"), tr, p["bins"])
     print(f"{cs.n_clusters} clusters; steady state "
           f"{'PASS' if report.passed else 'FAIL'}; outputs in {p['out_dir']}")
-    return _EXIT_OK
 
 
 # -- shape --------------------------------------------------------------------
 
-_SHAPE_DEFAULTS = dict(pattern="letterA", pattern_file=None, n=5000,
-                       alpha_list=None, eps1_list=None, noise="uniform",
-                       runs=1, seed=0, M=10, dt=0.5, t_final=50.0,
-                       mode="stochastic", merge_tol=None, out_dir="out")
+_SHAPE = (
+    ("--pattern", ("letterA", "file"), "letterA"),
+    ("--pattern-file", str, None, "one 'x0 y0 x1 y1' segment per line"),
+    ("--n", int, 5000), ("--alpha-list", _list(float), _REQUIRED),
+    ("--eps1-list", _list(float), _REQUIRED),
+    ("--noise", ("uniform", "gaussian"), "uniform"), ("--runs", int, 1),
+    ("--seed", int, 0), ("--M", int, 10), ("--dt", float, 0.5),
+    ("--t-final", float, 50.0), ("--mode", SIGMA_MODES, "stochastic"),
+    ("--merge-tol", float, None), ("--out-dir", str, "out"))
 
 
-def cmd_shape(args) -> int:
-    p = _resolve(args, _SHAPE_DEFAULTS)
-    if not p["alpha_list"] or not p["eps1_list"]:
-        raise ConfigError("--alpha-list and --eps1-list must be nonempty")
+def cmd_shape(p: dict) -> None:
     if p["pattern"] == "letterA":
         pat = generate_letter_A(p["n"])
-    elif p["pattern"] == "file":
-        if not p["pattern_file"]:
-            raise ConfigError("--pattern file requires --pattern-file")
-        pat = sample_segments(load_segments(p["pattern_file"]), p["n"])
+    elif not p["pattern_file"]:
+        raise ConfigError("--pattern file requires --pattern-file")
     else:
-        raise ConfigError(f"unknown pattern {p['pattern']!r}")
+        pat = sample_segments(load_segments(p["pattern_file"]), p["n"])
     result = sweep(pat, p["alpha_list"], p["eps1_list"], p["runs"],
                    noise_dist=p["noise"], master_seed=p["seed"], M=p["M"],
                    dt=p["dt"], t_final=p["t_final"], sigma_mode=p["mode"],
@@ -166,31 +175,29 @@ def cmd_shape(args) -> int:
         name = f"centers_a{r.alpha}_e{r.eps1}_r{r.run}.csv"
         bio._write_csv(_out(p, name), ["center_1", "center_2"],
                        ([*c] for c in r.centers))
-    p["command"] = "shape"
-    p["alpha_list"] = " ".join(map(str, p["alpha_list"]))
-    p["eps1_list"] = " ".join(map(str, p["eps1_list"]))
-    bio.write_manifest(_out(p, "manifest.txt"), p)
-    best = [s for s in result.summary if s.best]
-    for s in best:
-        print(f"alpha={s.alpha:g}: best eps1={s.eps1:g} "
-              f"mean E={s.mean_error:.3e} mean clusters={s.mean_clusters:g}")
-    return _EXIT_OK
+    for s in result.summary:
+        if s.best:
+            print(f"alpha={s.alpha:g}: best eps1={s.eps1:g} "
+                  f"mean E={s.mean_error:.3e} mean clusters={s.mean_clusters:g}")
 
 
 # -- segment ------------------------------------------------------------------
 
-_SEG_DEFAULTS = dict(input=None, eps1=None, eps2=None, norm1="euclidean",
-                     norm2="euclidean", mode="stochastic", threshold=None,
-                     method="auto", M=10, dt=0.5, t_final=50.0, stop_tol=1e-8,
-                     seed=0, merge_tol=None, format="P5", out_dir="out")
+_SEGMENT = (
+    ("--input", str, _REQUIRED, "P2/P5 PGM file"),
+    ("--eps1", float, _REQUIRED), ("--eps2", float, _REQUIRED),
+    ("--norm1", NORMS, "euclidean"), ("--norm2", NORMS, "euclidean"),
+    ("--mode", SIGMA_MODES, "stochastic"),
+    ("--threshold", float, None, "also write a binary PGM; cluster means "
+     "strictly below the threshold go black"),
+    ("--method", ("auto", "euler", "mfi"), "auto"), ("--M", int, 10),
+    ("--dt", float, 0.5), ("--t-final", float, 50.0),
+    ("--stop-tol", float, 1e-8, _STOP_TOL_HELP), ("--seed", int, 0),
+    ("--merge-tol", float, None), ("--format", ("P2", "P5"), "P5"),
+    ("--out-dir", str, "out"))
 
 
-def cmd_segment(args) -> int:
-    p = _resolve(args, _SEG_DEFAULTS)
-    if not p["input"]:
-        raise ConfigError("--input is required")
-    if p["eps1"] is None or p["eps2"] is None:
-        raise ConfigError("--eps1 and --eps2 are required")
+def cmd_segment(p: dict) -> None:
     if not os.path.exists(p["input"]):
         raise ClusteringError(f"input file not found: {p['input']}")
     img = load_grayscale(p["input"])
@@ -204,19 +211,17 @@ def cmd_segment(args) -> int:
                     p["format"])
     bio.write_labels_csv(_out(p, "labels.csv"), sr)
     bio.write_clusters_csv(_out(p, "clusters.csv"), sr.clusters)
-    p["command"] = "segment"
-    bio.write_manifest(_out(p, "manifest.txt"), p)
     levels = ", ".join(f"{v:.4g}" for v in sorted(sr.cluster_intensity))
     print(f"{sr.clusters.n_clusters} clusters; intensity levels [{levels}]; "
           f"outputs in {p['out_dir']}")
-    return _EXIT_OK
 
 
 # -- bench --------------------------------------------------------------------
 
-_BENCH_DEFAULTS = dict(n_list=None, M_list=None, steps=5, eps1=0.15,
-                       seed=0, out_dir="out")
-
+_BENCH = (
+    ("--n-list", _list(int), _REQUIRED), ("--M-list", _list(int), _REQUIRED),
+    ("--steps", int, 5), ("--eps1", float, 0.15), ("--seed", int, 0),
+    ("--out-dir", str, "out"))
 
 _BENCH_BURST = 3
 
@@ -256,10 +261,7 @@ def _time_grid(grid: list, steps: int, eps1: float, seed: int) -> list:
     return best
 
 
-def cmd_bench(args) -> int:
-    p = _resolve(args, _BENCH_DEFAULTS)
-    if not p["n_list"] or not p["M_list"]:
-        raise ConfigError("--n-list and --M-list must be nonempty")
+def cmd_bench(p: dict) -> None:
     if p["steps"] < 1:
         raise ConfigError("--steps must be at least 1")
     grid = [(n, M) for n in p["n_list"] for M in p["M_list"]]
@@ -268,18 +270,19 @@ def cmd_bench(args) -> int:
         rows.append([n, M, sec])
         print(f"n={n} M={M}: {sec * 1e3:.3f} ms/step")
     bio._write_csv(_out(p, "bench.csv"), ["n", "M", "seconds_per_step"], rows)
-    p["command"] = "bench"
-    p["n_list"] = " ".join(str(v) for v in p["n_list"])
-    p["M_list"] = " ".join(str(v) for v in p["M_list"])
-    bio.write_manifest(_out(p, "manifest.txt"), p)
-    return _EXIT_OK
 
 
 # -- parser -------------------------------------------------------------------
 
-_STOP_TOL_HELP = ("exact integrator (--method euler) only: stop once the max "
-                  "per-step displacement drops below this; the subset "
-                  "integrator (--method mfi) always runs to --t-final")
+_COMMANDS = {
+    "simulate": (cmd_simulate, _SIMULATE, "integrate the particle system and "
+                 "report clusters, moments and densities"),
+    "shape": (cmd_shape, _SHAPE, "noise/confidence sweep for pattern "
+              "detection (letter A or a segment file)"),
+    "segment": (cmd_segment, _SEGMENT, "grayscale PGM segmentation"),
+    "bench": (cmd_bench, _BENCH, "step-time scaling over an (n, M) grid; "
+              "M >= n benches the full deterministic step"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,90 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Config files are 'key = value' lines with '#' comments; flags "
                "override the config file, which overrides defaults.")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sim = sub.add_parser("simulate", help="integrate the particle system and "
-                         "report clusters, moments and densities")
-    sim.add_argument("--config")
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--d1", type=int)
-    sim.add_argument("--init", choices=["uniform", "gaussian-feature", "file"])
-    sim.add_argument("--init-file")
-    sim.add_argument("--eps1", type=float)
-    sim.add_argument("--eps2", type=float)
-    sim.add_argument("--norm1", choices=["euclidean", "max", "manhattan"])
-    sim.add_argument("--norm2", choices=["euclidean", "max", "manhattan"])
-    sim.add_argument("--mode", choices=["symmetric", "stochastic"])
-    sim.add_argument("--method", choices=["euler", "mfi"])
-    sim.add_argument("--M", type=int)
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--t-final", type=float)
-    sim.add_argument("--stop-tol", type=float, help=_STOP_TOL_HELP)
-    sim.add_argument("--record-every", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--bins", type=int, help="density histogram bins per axis")
-    sim.add_argument("--merge-tol", type=float)
-    sim.add_argument("--out-dir")
-    sim.set_defaults(func=cmd_simulate, parser=sim)
-
-    sh = sub.add_parser("shape", help="noise/confidence sweep for pattern "
-                        "detection (letter A or a segment file)")
-    sh.add_argument("--config")
-    sh.add_argument("--pattern", choices=["letterA", "file"])
-    sh.add_argument("--pattern-file", help="one 'x0 y0 x1 y1' segment per line")
-    sh.add_argument("--n", type=int)
-    sh.add_argument("--alpha-list", type=_float_list)
-    sh.add_argument("--eps1-list", type=_float_list)
-    sh.add_argument("--noise", choices=["uniform", "gaussian"])
-    sh.add_argument("--runs", type=int)
-    sh.add_argument("--seed", type=int)
-    sh.add_argument("--M", type=int)
-    sh.add_argument("--dt", type=float)
-    sh.add_argument("--t-final", type=float)
-    sh.add_argument("--mode", choices=["symmetric", "stochastic"])
-    sh.add_argument("--merge-tol", type=float)
-    sh.add_argument("--out-dir")
-    sh.set_defaults(func=cmd_shape, parser=sh)
-
-    seg = sub.add_parser("segment", help="grayscale PGM segmentation")
-    seg.add_argument("--config")
-    seg.add_argument("--input", help="P2/P5 PGM file")
-    seg.add_argument("--eps1", type=float)
-    seg.add_argument("--eps2", type=float)
-    seg.add_argument("--norm1", choices=["euclidean", "max", "manhattan"])
-    seg.add_argument("--norm2", choices=["euclidean", "max", "manhattan"])
-    seg.add_argument("--mode", choices=["symmetric", "stochastic"])
-    seg.add_argument("--threshold", type=float,
-                     help="also write a binary PGM; cluster means strictly "
-                          "below the threshold go black")
-    seg.add_argument("--method", choices=["auto", "euler", "mfi"])
-    seg.add_argument("--M", type=int)
-    seg.add_argument("--dt", type=float)
-    seg.add_argument("--t-final", type=float)
-    seg.add_argument("--stop-tol", type=float, help=_STOP_TOL_HELP)
-    seg.add_argument("--seed", type=int)
-    seg.add_argument("--merge-tol", type=float)
-    seg.add_argument("--format", choices=["P2", "P5"])
-    seg.add_argument("--out-dir")
-    seg.set_defaults(func=cmd_segment, parser=seg)
-
-    be = sub.add_parser("bench", help="step-time scaling over an (n, M) grid; "
-                        "M >= n benches the full deterministic step")
-    be.add_argument("--config")
-    be.add_argument("--n-list", type=_int_list)
-    be.add_argument("--M-list", type=_int_list)
-    be.add_argument("--steps", type=int)
-    be.add_argument("--eps1", type=float)
-    be.add_argument("--seed", type=int)
-    be.add_argument("--out-dir")
-    be.set_defaults(func=cmd_bench, parser=be)
+    for name, (func, params, text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config")
+        for flag, kind, _, *text in params:
+            sp.add_argument(flag, help=text[0] if text else None,
+                            **({"type": kind} if callable(kind) else {"choices": kind}))
+        sp.set_defaults(func=func, params=params)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        p = _resolve(args)
+        args.func(p)
+        bio.write_manifest(_out(p, "manifest.txt"), dict(p, command=args.cmd))
+        return _EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

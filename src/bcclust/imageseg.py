@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,33 +55,25 @@ class GrayImage:
         return self.intensities.reshape(self.height, self.width)
 
 
-class _TokenReader:
-    """Whitespace/comment-aware token scanner tracking byte offsets."""
+# One PGM token: a '#' comment to the end of its line, a decimal integer
+# (group 1), or any other non-space byte, which is an error.
+_TOKEN = re.compile(rb"#[^\n]*|(\d+)|\S")
 
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
 
-    def skip_separators(self):
-        d = self.data
-        while self.pos < len(d):
-            c = d[self.pos:self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(d) and d[self.pos:self.pos + 1] not in (b"\n", b""):
-                    self.pos += 1
-            else:
-                break
-
-    def next_int(self, what: str) -> int:
-        self.skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos:self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PgmParseError(f"expected {what}", start)
-        return int(self.data[start:self.pos])
+def _read_ints(data: bytes, pos: int, count: int, name) -> tuple[list, int]:
+    """The next count integers of data from pos, skipping whitespace and
+    comments, and the offset just past the last one.  A missing integer is
+    reported at its offset (the end of data if it is missing altogether) and
+    named by name(k), k its index."""
+    vals = []
+    for m in _TOKEN.finditer(data, pos):
+        if m.lastindex:
+            vals.append(int(m[1]))
+            if len(vals) == count:
+                return vals, m.end()
+        elif m[0][:1] != b"#":
+            raise PgmParseError(f"expected {name(len(vals))}", m.start())
+    raise PgmParseError(f"expected {name(len(vals))}", len(data))
 
 
 def load_grayscale(path) -> GrayImage:
@@ -90,20 +83,18 @@ def load_grayscale(path) -> GrayImage:
     if data[:2] not in (b"P2", b"P5"):
         raise PgmParseError(f"bad magic {data[:2]!r}, expected P2 or P5", 0)
     binary = data[:2] == b"P5"
-    rd = _TokenReader(data, 2)
-    width = rd.next_int("width")
-    height = rd.next_int("height")
-    maxval = rd.next_int("maxval")
+    (width, height, maxval), pos = _read_ints(
+        data, 2, 3, ("width", "height", "maxval").__getitem__)
     if width < 1 or height < 1:
         raise PgmParseError(f"bad dimensions {width}x{height}", 2)
     if not 1 <= maxval <= 65535:
-        raise PgmParseError(f"maxval {maxval} outside [1, 65535]", rd.pos)
+        raise PgmParseError(f"maxval {maxval} outside [1, 65535]", pos)
     count = width * height
     if binary:
         # exactly one whitespace byte after maxval, then raw samples
-        if rd.pos >= len(data) or not data[rd.pos:rd.pos + 1].isspace():
-            raise PgmParseError("expected single whitespace before raster", rd.pos)
-        start = rd.pos + 1
+        if pos >= len(data) or not data[pos:pos + 1].isspace():
+            raise PgmParseError("expected single whitespace before raster", pos)
+        start = pos + 1
         bpp = 2 if maxval > 255 else 1
         need = count * bpp
         if len(data) - start < need:
@@ -117,12 +108,12 @@ def load_grayscale(path) -> GrayImage:
         else:
             samples = raw.astype(np.uint32)
     else:
-        samples = np.empty(count, dtype=np.uint32)
-        for k in range(count):
-            samples[k] = rd.next_int(f"sample {k} of {count}")
+        vals, pos = _read_ints(data, pos, count,
+                               lambda k: f"sample {k} of {count}")
+        samples = np.array(vals)
     if samples.max(initial=0) > maxval:
         bad = int(np.argmax(samples > maxval))
-        raise PgmParseError(f"sample {bad} exceeds maxval {maxval}", rd.pos)
+        raise PgmParseError(f"sample {bad} exceeds maxval {maxval}", pos)
     return GrayImage(width, height, samples / maxval, maxval)
 
 

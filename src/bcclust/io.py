@@ -22,6 +22,7 @@ import contextlib
 import csv
 import functools
 import os
+import re
 import tempfile
 import warnings
 
@@ -396,18 +397,18 @@ def write_steady_state_csv(path, report) -> None:
 
 # -- density histograms -------------------------------------------------------
 
-def write_density_csv(path, tr, bins: int, lo: float = 0.0, hi: float = 1.0) -> None:
-    """Per-snapshot position histogram on [lo, hi]^d, d in {1, 2}.
+def write_density_csv(path, tr, bins: int) -> None:
+    """Per-snapshot position histogram on the unit box [0, 1]^d, d in {1, 2}.
 
-    Only positions inside [lo, hi]^d are counted (the last bin includes hi);
-    a snapshot's counts sum to n only when every particle lies in the box.
+    Only positions inside the box are counted (the last bin includes 1); a
+    snapshot's counts sum to n only when every particle lies in the box.
     Rows are (t, bin, x_center, count) in 1D and
     (t, bin_x, bin_y, x_center, y_center, count) in 2D, bin_y varying fastest.
     """
     n, d1 = tr.snapshots[0][1].shape
     if d1 not in (1, 2):
         raise ConfigError("density histograms support d1 in {1, 2}")
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(0.0, 1.0, bins + 1)
     centers = _float_fields((edges[:-1] + edges[1:]) / 2)
     b = np.arange(bins)
     if d1 == 1:
@@ -468,18 +469,25 @@ def read_particles_csv(path) -> ParticleSet:
 
 # -- manifests ----------------------------------------------------------------
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def write_manifest(path, params: dict) -> None:
-    """'key = value' lines in key order; a None value (unset) is left out."""
-    lines = [f"{k} = {v}" for k, v in sorted(params.items()) if v is not None]
+    """'key = value' lines in key order; a list is written space-separated
+    and a None value (unset) is left out."""
+    lines = [f"{k} = {' '.join(map(str, v)) if isinstance(v, list) else v}"
+             for k, v in sorted(params.items()) if v is not None]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> dict:
-    """A manifest or config file's 'key = value' lines as a dict of strings."""
+    """A manifest or config file's 'key = value' lines as a dict of strings.
+    A '#' at the start of a line or after whitespace begins a comment; one
+    inside a value (a path such as 'runs/bug#3') is kept."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

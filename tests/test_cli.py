@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small problems."""
 
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -103,6 +104,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ps_path}: ") and err.count("\n") == 1
 
+    def test_gaussian_feature_draws_d1_positions(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", "--init", "gaussian-feature", "--d1", "2",
+                    "--n", "100", "--eps1", "0.3", "--eps2", "0.5",
+                    "--mode", "stochastic", "--t-final", "1",
+                    "--out-dir", str(out)]) == 0
+        header = (out / "trajectory.csv").read_text().split("\n", 1)[0]
+        assert header == "t,i,x_1,x_2,c_1"
+        assert bio.read_manifest(out / "manifest.txt")["d1"] == "2"
+
+    def test_density_left_out_above_two_dimensions(self, tmp_path):
+        """density.csv is defined for d1 <= 2 only; a 3D run writes every
+        other output, its manifest included."""
+        out = tmp_path / "out"
+        assert run(["simulate", "--d1", "3", "--n", "100", "--eps1", "0.5",
+                    "--mode", "stochastic", "--t-final", "1",
+                    "--out-dir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "clusters.csv", "manifest.txt", "moments.csv", "steady_state.csv",
+            "trajectory.csv"]
+
     def test_symmetric_large_M_finishes(self, tmp_path):
         """M = 150 of n = 1000 in symmetric mode: the draw must not wait for
         M draws with replacement that hold no repeat."""
@@ -139,6 +161,68 @@ class TestDeterminism:
                      "steady_state.csv", "density.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert bio.read_manifest(b / "manifest.txt") == dict(manifest, out_dir=str(b))
+
+
+def runnable_config(tmp_path, cmd) -> dict:
+    """Config entries that run cmd on a problem small enough for a test."""
+    if cmd == "simulate":
+        return {"n": "200", "eps1": "0.5", "mode": "stochastic",
+                "t_final": "2", "seed": "3"}
+    if cmd == "shape":
+        return {"n": "100", "alpha_list": "0.05", "eps1_list": "0.1 0.2",
+                "t_final": "1"}
+    if cmd == "segment":
+        img = tmp_path / "img.pgm"
+        write_image(GrayImage(4, 4, np.linspace(0, 1, 16)), img)
+        return {"input": str(img), "eps1": "0.5", "eps2": "0.3",
+                "threshold": "0.5"}
+    return {"n_list": "64 128", "M_list": "3", "steps": "1"}
+
+
+def write_config(path, entries: dict):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return path
+
+
+class TestConfig:
+    @pytest.mark.parametrize("cmd", ["simulate", "shape", "segment", "bench"])
+    def test_manifest_replays_every_output(self, tmp_path, monkeypatch, cmd):
+        """A run's manifest through --config gives the same outputs byte for
+        byte and the same manifest apart from out_dir; bench's timings vary,
+        so only its manifest is compared."""
+        from bcclust import shapes
+
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
+        a, b = tmp_path / "a", tmp_path / "b"
+        cfg = write_config(tmp_path / "run.cfg", runnable_config(tmp_path, cmd))
+        assert run([cmd, "--config", str(cfg), "--out-dir", str(a)]) == 0
+        assert run([cmd, "--config", str(a / "manifest.txt"),
+                    "--out-dir", str(b)]) == 0
+        manifest = bio.read_manifest(a / "manifest.txt")
+        assert manifest["command"] == cmd
+        assert bio.read_manifest(b / "manifest.txt") == dict(manifest, out_dir=str(b))
+        names = sorted(os.listdir(a))
+        assert sorted(os.listdir(b)) == names
+        for name in names:
+            if name != "manifest.txt" and cmd != "bench":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("cmd, key", [
+        ("simulate", "eps1"), ("simulate", "mode"),
+        ("shape", "alpha_list"), ("shape", "eps1_list"),
+        ("segment", "input"), ("segment", "eps1"), ("segment", "eps2"),
+        ("bench", "n_list"), ("bench", "M_list")])
+    def test_missing_required_is_usage_error(self, tmp_path, capsys, cmd, key):
+        """Each required parameter left out of a runnable config stops the
+        run with exit 2, naming its flag, before any output is written."""
+        entries = runnable_config(tmp_path, cmd)
+        del entries[key]
+        cfg = write_config(tmp_path / "run.cfg", entries)
+        out = tmp_path / "out"
+        assert run([cmd, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        flag = "--" + key.replace("_", "-")
+        assert re.search(f"{flag}(?![\\w-])", capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestShapeCommand:

@@ -83,6 +83,21 @@ class TestLoadPgm:
         with pytest.raises(PgmParseError):
             load_grayscale(write_bytes(tmp_path, "i.pgm", b"P2\n2\n"))
 
+    def test_p2_raster_comments_and_bad_samples(self, tmp_path):
+        """A P2 raster may hold comments; a non-digit sample or a missing one
+        is named by its index and reported at its byte offset (the end of the
+        file when it is missing)."""
+        head = b"P2\n3 1\n9\n"
+        img = load_grayscale(write_bytes(tmp_path, "j.pgm", head + b"1 # x 2\n2\n3"))
+        np.testing.assert_allclose(img.intensities, [1 / 9, 2 / 9, 3 / 9])
+        for raster, offset in [(b"1 -2 3\n", len(head) + 2),
+                               (b"1 2\n# 3\n", len(head) + 8)]:
+            with pytest.raises(PgmParseError) as e:
+                load_grayscale(write_bytes(tmp_path, "k.pgm", head + raster))
+            assert str(e.value).startswith("expected sample ")
+            assert e.value.byte_offset == offset
+            assert ("sample 1 of 3" if b"-" in raster else "sample 2 of 3") in str(e.value)
+
 
 class TestWriteImage:
     def test_round_trip_p5(self, tmp_path):

@@ -355,6 +355,17 @@ class TestManifest:
         path.write_text("# header\n\n a = 1 # trailing\nb=two\n")
         assert bio.read_manifest(path) == {"a": "1", "b": "two"}
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """'#' begins a comment only at the start of a line or after
+        whitespace, so a path holding '#' reads back whole; a list is written
+        space-separated."""
+        path = tmp_path / "m.txt"
+        bio.write_manifest(path, {"out_dir": "runs/bug#3/a", "n_list": [4, 8]})
+        assert bio.read_manifest(path) == {"out_dir": "runs/bug#3/a",
+                                           "n_list": "4 8"}
+        path.write_text("#a = 1\nb = c#d\t# note\n")
+        assert bio.read_manifest(path) == {"b": "c#d"}
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("not a pair\n")
