@@ -121,21 +121,11 @@ def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:
     return CandidatePool(ps, spec, order, lo[rank], hi[rank], rank, own, False)
 
 
-def _merge_rank(values, queries, right):
-    """np.searchsorted(values, queries, side) for sorted queries, found by
-    one stable merge of the two sorted runs, which is linear time."""
-    n = queries.size
-    both = np.concatenate([values, queries] if right else [queries, values])
-    merged = np.argsort(both, kind="stable")
-    is_query = merged >= values.size if right else merged < n
-    return np.nonzero(is_query)[0] - np.arange(n)
-
-
 def _line_pool(ps, spec, last, eps, norm) -> CandidatePool:
     # One gated coordinate: N_i is the run of the sorted order within eps of
     # i, as the gate is monotone in that coordinate on either side of i.
-    # A merge finds the run up to rounding at its ends, and the gate trims
-    # those, never past i itself.
+    # A binary search finds the run up to rounding at its ends, and the gate
+    # trims those, never past i itself.
     if ps.d1 == 1 and np.isfinite(spec.eps1):
         # ties in the only position coordinate are equal positions, so their
         # order cannot change a step; the unstable sort is 5x faster
@@ -144,9 +134,8 @@ def _line_pool(ps, spec, last, eps, norm) -> CandidatePool:
         order = np.argsort(last, kind="stable")
     srt = last[order]
     margin = 1e-13 * (max(abs(srt[0]), abs(srt[-1])) + eps + 1.0)
-    lo = _merge_rank(srt, srt - (eps + margin), right=False)
-    hi = _merge_rank(srt, srt + (eps + margin), right=True)
-    p = np.arange(srt.size)
+    lo = np.searchsorted(srt, srt - (eps + margin), side="left")
+    hi = np.searchsorted(srt, srt + (eps + margin), side="right")
     for end, step, edge in ((lo, 1, 0), (hi, -1, -1)):
         while True:
             at = end + edge
@@ -158,7 +147,7 @@ def _line_pool(ps, spec, last, eps, norm) -> CandidatePool:
                 break
             end[out] += step
     rank = np.empty(srt.size, dtype=np.int64)
-    rank[order] = p
+    rank[order] = np.arange(srt.size)
     return CandidatePool(ps, spec, order, lo[rank, None], hi[rank, None], rank, 0, True)
 
 

@@ -51,7 +51,8 @@ def _list(cast):
 def _resolve(args) -> dict:
     """flags > config file (a manifest, say; '-' in keys read as '_') >
     defaults.  A config value is parsed by its parameter's entry; a bad one,
-    or a required parameter left unset, is a ConfigError."""
+    a required parameter left unset, or a text value the manifest could not
+    read back unchanged is a ConfigError."""
     cfg = {}
     if args.config:
         cfg = {k.replace("-", "_"): v for k, v in bio.read_manifest(args.config).items()}
@@ -72,6 +73,9 @@ def _resolve(args) -> dict:
         p[key] = default if val is None else val
         if p[key] is _REQUIRED:
             missing.append(flag)
+        elif kind is str and p[key] is not None and not bio.manifest_keeps(p[key]):
+            raise ConfigError(f"{flag} {p[key]!r}: a manifest cannot record a value "
+                              "with a line break, edge whitespace or ' #'")
     if missing:
         raise ConfigError(f"{', '.join(missing)}: required, set by flag or --config")
     return p
@@ -123,6 +127,7 @@ def _initial_particles(p: dict) -> ParticleSet:
 def cmd_simulate(p: dict) -> None:
     spec = _spec_from(p)
     ps0 = _initial_particles(p)
+    p.update(n=ps0.n, d1=ps0.d1)  # so the manifest gives an --init-file's set
     if p["method"] == "euler":
         tr = simulate(ps0, spec, IntegratorConfig(p["dt"], p["t_final"],
                                                   p["stop_tol"], p["record_every"]))

@@ -18,11 +18,10 @@ from .model import (
     ParticleSet,
     _interacts,
     _nearest_distances,
-    _reduce_abs_diff,
+    _norm,
     _row_tiles,
-    _within_mask,
+    _within,
     bbox_diameter,
-    distances_to,
 )
 from .moments import MomentRecord
 
@@ -195,7 +194,7 @@ def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
     for k in range(n_steps):
         nxt = step_fn(ps, k)
         if stop_tol is not None:
-            disp = distances_to(nxt.positions - ps.positions, np.zeros(ps.d1), spec.norm1)
+            disp = _norm((nxt.positions - ps.positions).T, spec.norm1)
             max_disp = float(disp.max())
         ps = nxt
         if (k + 1) % cfg.record_every == 0:
@@ -265,14 +264,13 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
                       ps.features)
 
 
-def _sorted_gap(a: np.ndarray, b: np.ndarray) -> float:
+def _sorted_gap(a: np.ndarray, b: np.ndarray, norm: str) -> float:
     """Minimum cross distance between two sorted 1D arrays."""
     if a.shape[0] > b.shape[0]:
         a, b = b, a
     idx = np.searchsorted(b, a)
-    lo = np.abs(a - b[np.maximum(idx - 1, 0)])
-    hi = np.abs(a - b[np.minimum(idx, b.shape[0] - 1)])
-    return float(min(lo.min(), hi.min()))
+    return float(min(_norm([a - b[np.clip(at, 0, b.size - 1)]], norm).min()
+                     for at in (idx - 1, idx)))
 
 
 def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateReport:
@@ -289,21 +287,18 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     m = cs.n_clusters
     d2 = cs.features.shape[1]
     centers = cs.centers
-    ii, kk = [], []
-    for rows in _row_tiles(m, m):
-        gate = _within_mask(centers, spec.eps1, spec.norm1, rows)
-        i, k = np.nonzero(np.triu(gate, rows.start + 1))
-        ii.append(i + rows.start)
-        kk.append(k)
-    ii, kk = np.concatenate(ii), np.concatenate(kk)
+    def near_pairs(rows):  # the tile's pairs i < k of centers within eps1
+        gate = _within(centers, *np.ogrid[rows, :m], spec.eps1, spec.norm1)
+        return np.argwhere(np.triu(gate, rows.start + 1)) + (rows.start, 0)
+    ii, kk = np.concatenate([near_pairs(rows) for rows in _row_tiles(m, m)]).T
     gap = np.zeros(ii.size)
     if d2 and ii.size:
         # componentwise interval gaps lower-bound the true member gap, so
         # box-separated pairs pass without touching member features, and
         # equal it when both clusters' features are single points
         fmin, fmax = cs.feature_min, cs.feature_max
-        box_gap = _reduce_abs_diff(np.maximum(0.0, np.maximum(
-            fmin[ii] - fmax[kk], fmin[kk] - fmax[ii])), spec.norm2, axis=1)
+        box_gap = _norm(np.maximum(0.0, np.maximum(
+            fmin[ii] - fmax[kk], fmin[kk] - fmax[ii])).T, spec.norm2)
         near = box_gap <= spec.eps2
         ii, kk, gap = ii[near], kk[near], box_gap[near]
         point = (fmin == fmax).all(axis=1)
@@ -314,14 +309,15 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
         starts, ends = (ends - size).tolist(), ends.tolist()
         if d2 == 1:
             f = cs.features[np.lexsort((cs.features[:, 0], cs.labels)), 0]
-            pair_gap = _sorted_gap
+            def pair_gap(a, b):
+                return _sorted_gap(a, b, spec.norm2)
         else:
             f = cs.features[np.argsort(cs.labels, kind="stable")]
             def pair_gap(a, b):
                 return float(_nearest_distances(a, b, spec.norm2).min())
         gap[spread] = [pair_gap(f[starts[i]:ends[i]], f[starts[k]:ends[k]])
                        for i, k in zip(ii[spread].tolist(), kk[spread].tolist())]
-    cdist = _reduce_abs_diff(np.abs(centers[ii] - centers[kk]), spec.norm1, axis=1)
+    cdist = _norm((centers[ii] - centers[kk]).T, spec.norm1)
     keep = gap <= spec.eps2
     violations = np.rec.fromarrays([ii[keep], kk[keep], cdist[keep], gap[keep]],
                                    names="i,k,center_distance,min_feature_gap")

@@ -225,30 +225,11 @@ def _float_fields(x, out=None) -> np.ndarray:
     return out
 
 
-# Masks of one four-digit word of an integer field, indexed by z + 1, where z
-# is the byte of the word that holds the ',': the digits after it, and the
-# ',' itself.  z = -1 when the ',' lies in an earlier word (all four digits
-# stay) and 4 when it lies in a later one (all NUL).
-_AFTER_COMMA = np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000, 0, 0],
-                        dtype=np.uint32)
-_COMMA = np.array([0] + [ord(",") << 8 * z for z in range(4)] + [0], dtype=np.uint32)
-
-
 def _int_fields(v) -> np.ndarray:
-    """(len(v), 4 * w) uint8: ',' and the decimal digits of each v >= 0,
-    right aligned after NUL bytes."""
-    digits4 = _tables()[0]
-    v = np.asarray(v, dtype=np.int64)
-    groups = len(str(int(v.max(initial=0)))) // 4 + 1  # room for the ','
-    width = 4 * groups
-    comma = width - 2 - np.searchsorted(10 ** np.arange(1, width), v, side="right")
-    words = np.empty((v.size, groups), "<u4")
-    rest = v
-    for j in range(groups - 1, -1, -1):  # four digits at a time, last first
-        rest, low = np.divmod(rest, 10_000)
-        z = np.clip(comma - 4 * j, -1, 4) + 1
-        words[:, j] = (digits4[low].astype(np.uint32) & _AFTER_COMMA[z]) | _COMMA[z]
-    return words.view(np.uint8)
+    """(len(v), w) uint8: ',' and the decimal digits of each v >= 0, then
+    NUL bytes."""
+    text = np.array([b",%d" % k for k in np.asarray(v).tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
 def _write_snapshot_rows(path, header, tr, prefix, values, fields, chunk,
@@ -478,6 +459,12 @@ def write_manifest(path, params: dict) -> None:
     lines = [f"{k} = {' '.join(map(str, v)) if isinstance(v, list) else v}"
              for k, v in sorted(params.items()) if v is not None]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def manifest_keeps(value: str) -> bool:
+    """Whether read_manifest reads value back from a 'key = value' line: it
+    has no line break, no edge whitespace and no '#' opening a comment."""
+    return not re.search(r"[\r\n]|^\s|\s$|(?:^|\s)#", value)
 
 
 def read_manifest(path) -> dict:

@@ -116,66 +116,56 @@ class ParticleSet:
         return ps
 
 
+def _norm(diffs, norm: str):
+    """The norm of difference vectors given one coordinate at a time, as
+    arrays of one shape that it overwrites: squares or absolute values added
+    in coordinate order (a running max for the max norm).  Every distance,
+    gate and bound is this one sum, so they agree to the last bit, where
+    np.sum adds 8 or more terms pairwise (Higham, SIAM J. Sci. Comput. 14(4),
+    1993).  No coordinates give 0.0."""
+    if norm not in NORMS:
+        raise ConfigError(f"unknown norm {norm!r}")
+    term = np.square if norm == "euclidean" else np.abs
+    combine = np.maximum if norm == "max" else np.add
+    acc = None
+    for d in diffs:
+        term(d, out=d)
+        acc = d if acc is None else combine(acc, d, out=d)
+    if acc is None:
+        return 0.0
+    return np.sqrt(acc, out=acc) if norm == "euclidean" else acc
+
+
 def distance(a, b, norm: str = "euclidean") -> float:
     """p-norm distance between two points for the selected metric tag."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise DimensionMismatch(f"points have shapes {a.shape} and {b.shape}")
-    return _reduce_abs_diff(np.abs(a - b), norm, axis=-1)
-
-
-def _reduce_abs_diff(d, norm, axis):
-    if norm == "euclidean":
-        return np.sqrt(np.sum(d * d, axis=axis))
-    if norm == "max":
-        return np.max(d, axis=axis)
-    if norm == "manhattan":
-        return np.sum(d, axis=axis)
-    raise ConfigError(f"unknown norm {norm!r}")
+    return float(distances_to(a[None], b, norm)[0])
 
 
 def distances_to(points: np.ndarray, x: np.ndarray, norm: str) -> np.ndarray:
     """Distances from each row of points to x.  Zero-width points give all zeros."""
     if points.shape[1] == 0:
         return np.zeros(points.shape[0])
-    return _reduce_abs_diff(np.abs(points - x[None, :]), norm, axis=1)
+    return _norm((points - x[None, :]).T, norm)
 
 
 def bbox_diameter(points: np.ndarray, norm: str) -> float:
     """Upper bound on the pairwise diameter via the bounding box."""
-    if points.shape[1] == 0 or points.shape[0] == 0:
+    if points.shape[0] == 0:
         return 0.0
-    span = points.max(axis=0) - points.min(axis=0)
-    return float(_reduce_abs_diff(span, norm, axis=0))
+    return distance(points.max(axis=0), points.min(axis=0), norm)
 
 
 def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     """distance(points[i], points[j], norm) <= eps, elementwise over broadcast
-    index arrays.
-
-    The direct gate: the same differences, terms and summation order as
-    distance and distances_to, one coordinate at a time, so at most two float
-    arrays of the broadcast shape are alive at once.
-    """
+    index arrays, one coordinate at a time, so at most two float arrays of
+    the broadcast shape are alive at once."""
     if points.shape[1] == 0 or not np.isfinite(eps):
         return np.ones(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=bool)
-    acc = None
-    for col in points.T:
-        d = col[j] - col[i]
-        if norm == "euclidean":
-            d *= d
-        else:
-            np.abs(d, out=d)
-        if acc is None:
-            acc = d
-        elif norm == "max":
-            np.maximum(acc, d, out=acc)
-        else:
-            acc += d
-    if norm == "euclidean":
-        np.sqrt(acc, out=acc)
-    return acc <= eps
+    return _norm((col[j] - col[i] for col in points.T), norm) <= eps
 
 
 def _interacts(positions: np.ndarray, features: np.ndarray | None, i, j,
@@ -199,15 +189,8 @@ def _row_tiles(rows: int, cols: int) -> list:
 
 def _nearest_distances(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
     """Distance from each row of a to its nearest row of b, in row tiles of
-    at most _TILE_PAIRS coordinate differences."""
+    at most _TILE_PAIRS pairs."""
     return np.concatenate([
-        _reduce_abs_diff(np.abs(a[rows, None] - b[None]), norm, axis=2).min(axis=1)
-        for rows in _row_tiles(a.shape[0], b.size)])
-
-
-def _within_mask(points: np.ndarray, eps: float, norm: str,
-                 rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of the (n, n) boolean matrix of pairs within eps under the
-    direct gate."""
-    idx = np.arange(points.shape[0])
-    return _within(points, idx[rows, None], idx[None, :], eps, norm)
+        _norm((a[rows, k, None] - b[None, :, k] for k in range(a.shape[1])),
+              norm).min(axis=1)
+        for rows in _row_tiles(a.shape[0], b.shape[0])])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, InteractionSpec, ParticleSet, _nearest_distances
+from .model import ConfigError, InteractionSpec, ParticleSet, _nearest_distances, _norm
 from .dynamics import default_merge_tol, extract_clusters
 from .mfi import MfiConfig, mfi_simulate
 from .rng import derive_seed
@@ -58,7 +58,7 @@ def sample_segments(segments, n: int) -> Pattern:
         raise ConfigError(f"need at least {len(segments)} points, got {n}")
     starts = np.array([s[0] for s in segments])
     ends = np.array([s[1] for s in segments])
-    lengths = np.linalg.norm(ends - starts, axis=1)
+    lengths = _norm((ends - starts).T, "euclidean")
     total = lengths.sum()
     if total <= 0:
         raise ConfigError("pattern has zero total length")

@@ -17,8 +17,8 @@ from bcclust.model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
-    _reduce_abs_diff,
-    _within_mask,
+    _norm,
+    _within,
     distances_to,
 )
 
@@ -42,9 +42,10 @@ def chi(eps: float, dist: float):
 
 def interaction_mask(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
     """(n, n) boolean matrix of pairs passing both confidence gates."""
-    mask = _within_mask(ps.positions, spec.eps1, spec.norm1)
+    i, j = np.ogrid[:ps.n, :ps.n]
+    mask = _within(ps.positions, i, j, spec.eps1, spec.norm1)
     if ps.d2 > 0:
-        mask &= _within_mask(ps.features, spec.eps2, spec.norm2)
+        mask &= _within(ps.features, i, j, spec.eps2, spec.norm2)
     return mask
 
 
@@ -74,8 +75,7 @@ def pairwise_distances(points: np.ndarray, norm: str) -> np.ndarray:
     n = points.shape[0]
     if points.shape[1] == 0:
         return np.zeros((n, n))
-    d = np.abs(points[:, None, :] - points[None, :, :])
-    return _reduce_abs_diff(d, norm, axis=2)
+    return _norm((col[None, :] - col[:, None] for col in points.T), norm)
 
 
 def cluster_columns(ps: ParticleSet, labels: np.ndarray) -> tuple:

@@ -207,6 +207,55 @@ class TestConfig:
             if name != "manifest.txt" and cmd != "bench":
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_init_file_manifest_records_the_file(self, tmp_path):
+        """With --init file the manifest gives the file's n and d1, not the
+        defaults, and replays the run byte for byte."""
+        from bcclust.model import ParticleSet
+
+        ps_path = tmp_path / "p2d.csv"
+        rng = np.random.default_rng(4)
+        bio.write_particles_csv(ps_path, ParticleSet(rng.uniform(0, 1, (50, 2))))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["simulate", "--init", "file", "--init-file", str(ps_path),
+                    "--eps1", "0.5", "--mode", "stochastic", "--t-final", "1",
+                    "--out-dir", str(a)]) == 0
+        manifest = bio.read_manifest(a / "manifest.txt")
+        assert (manifest["n"], manifest["d1"]) == ("50", "2")
+        assert run(["simulate", "--config", str(a / "manifest.txt"),
+                    "--out-dir", str(b)]) == 0
+        assert bio.read_manifest(b / "manifest.txt") == dict(manifest, out_dir=str(b))
+        for name in sorted(os.listdir(a)):
+            if name != "manifest.txt":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("value", ["sp #1/q.pgm", " q.pgm", "q.pgm ",
+                                       "#q.pgm", "a\nb.pgm"])
+    def test_text_the_manifest_cannot_keep_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, value):
+        """A text value read_manifest would cut or strip exits 2 before any
+        output is written, though the file it names exists."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sp #1").mkdir()
+        write_image(GrayImage(4, 4, np.linspace(0, 1, 16)), tmp_path / value)
+        assert run(["segment", "--input", value, "--eps1", "0.5",
+                    "--eps2", "0.3", "--out-dir", "out"]) == 2
+        assert "--input" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """A '#' not after whitespace, as in runs/bug#3, is no comment: the
+        run and its replay both work."""
+        a, b = tmp_path / "runs" / "bug#3", tmp_path / "runs" / "bug#4"
+        img = tmp_path / "img#1.pgm"
+        write_image(GrayImage(4, 4, np.linspace(0, 1, 16)), img)
+        assert run(["segment", "--input", str(img), "--eps1", "0.5",
+                    "--eps2", "0.3", "--out-dir", str(a)]) == 0
+        manifest = bio.read_manifest(a / "manifest.txt")
+        assert (manifest["input"], manifest["out_dir"]) == (str(img), str(a))
+        assert run(["segment", "--config", str(a / "manifest.txt"),
+                    "--out-dir", str(b)]) == 0
+        assert (a / "segmented.pgm").read_bytes() == (b / "segmented.pgm").read_bytes()
+
     @pytest.mark.parametrize("cmd, key", [
         ("simulate", "eps1"), ("simulate", "mode"),
         ("shape", "alpha_list"), ("shape", "eps1_list"),

@@ -20,7 +20,7 @@ from bcclust.dynamics import (
     simulate,
     verify_steady_state,
 )
-from oracles import (cluster_columns, dense_drift, pairwise_distances,
+from oracles import (cluster_columns, dense_drift, interaction_mask,
                      steady_state_violations)
 from test_acceptance import quadrant_image
 
@@ -283,10 +283,10 @@ class TestSimulate:
 
 
 def brute_force_components(ps, merge_tol, spec):
-    """Reference connected components via O(n^2) adjacency and BFS."""
-    close = pairwise_distances(ps.positions, spec.norm1) <= merge_tol
-    if ps.d2 > 0:
-        close &= pairwise_distances(ps.features, spec.norm2) <= spec.eps2
+    """Reference connected components via BFS over the (n, n) gate with
+    merge_tol in place of eps1."""
+    close = interaction_mask(ps, InteractionSpec(merge_tol, spec.eps2,
+                                                 spec.norm1, spec.norm2))
     n = ps.n
     seen = [False] * n
     comps = []
@@ -304,6 +304,39 @@ def brute_force_components(ps, merge_tol, spec):
                     stack.append(int(w))
         comps.append(frozenset(comp))
     return set(comps)
+
+
+# Two points of R^8 whose coordinates span nine decades, one per norm: at
+# eps = distance(0, b), np.sum's pairwise order and the gate's coordinate
+# order once put the pair on different sides of eps.
+KNIFE_EDGE_R8 = {
+    "euclidean": [6.369616873214543e-4, 2.6978671376387032e-5, 4.097352393619469e-5,
+                  0.016527635528529094, 8.132702392002724e-7, 0.09127555772777218,
+                  0.006066357757671799, 7.294965609839984e-9],
+    "manhattan": [6.369616873214542e-06, 2.6978671376387032e-05, 4.0973523936194687e-07,
+                  1.6527635528529094e-10, 0.008132702392002724, 9.127555772777216e-08,
+                  6.066357757671799e-07, 0.7294965609839984],
+}
+
+
+@pytest.mark.parametrize("norm", sorted(KNIFE_EDGE_R8))
+class TestKnifeEdgeR8:
+    def case(self, norm):
+        ps = ParticleSet([np.zeros(8), KNIFE_EDGE_R8[norm]])
+        eps = model.distance(ps.positions[0], ps.positions[1], norm)
+        return ps, eps, InteractionSpec(eps1=eps, norm1=norm)
+
+    def test_closed_form_drift_matches_gate(self, norm):
+        ps, _, spec = self.case(norm)
+        np.testing.assert_allclose(_drift(ps, spec), dense_drift(ps, spec),
+                                   rtol=0, atol=1e-18)
+
+    def test_clusters_match_gate(self, norm):
+        ps, eps, spec = self.case(norm)
+        cs = extract_clusters(ps, eps, spec)
+        got = {frozenset(np.flatnonzero(cs.labels == c).tolist())
+               for c in range(cs.n_clusters)}
+        assert got == brute_force_components(ps, eps, spec)
 
 
 class TestExtractClusters:

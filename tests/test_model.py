@@ -1,5 +1,7 @@
 """Interaction primitives: kernels, metrics, neighborhoods, adjacency weights."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,10 @@ from bcclust.model import (
     DimensionMismatch,
     InteractionSpec,
     ParticleSet,
-    _within_mask,
+    _within,
     bbox_diameter,
     distance,
+    distances_to,
 )
 from oracles import (
     adjacency_weight,
@@ -240,17 +243,65 @@ class TestInteractionMask:
     def test_within_mask_agrees_with_distances(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, (30, 2))
+        i, j = np.ogrid[:30, :30]
         for norm in ("euclidean", "max", "manhattan"):
             dist = pairwise_distances(pts, norm)
-            for eps in (0.1, 0.35, 0.7):
-                # keep away from floating-point knife edges
-                if np.min(np.abs(dist - eps)) < 1e-9:
-                    continue
+            # an eps equal to a pair's own distance puts that pair on the edge
+            for eps in (0.1, 0.35, 0.7, *dist[0, 1:4]):
                 np.testing.assert_array_equal(
-                    _within_mask(pts, eps, norm), dist <= eps)
+                    _within(pts, i, j, eps, norm), dist <= eps)
 
     def test_bbox_diameter_bounds_pairwise(self):
         rng = np.random.default_rng(8)
-        pts = rng.uniform(-2, 2, (25, 3))
+        for d in (3, 8, 13):
+            pts = rng.uniform(-2, 2, (25, d)) * 10.0 ** -rng.integers(0, 9, d)
+            for norm in ("euclidean", "max", "manhattan"):
+                assert bbox_diameter(pts, norm) >= pairwise_distances(pts, norm).max()
+
+
+def left_to_right_norm(diff, norm):
+    """The norm of one difference vector in plain Python floats, its terms
+    added one after another in coordinate order (a loop rather than sum,
+    which compensates from Python 3.12 on)."""
+    terms = [x * x if norm == "euclidean" else abs(x) for x in diff]
+    if norm == "max":
+        return max(terms, default=0.0)
+    total = 0.0
+    for x in terms:
+        total += x
+    return math.sqrt(total) if norm == "euclidean" else total
+
+
+def corner_pairs(rng, k, d):
+    """k pairs of points in R^d whose coordinates span nine decades, so
+    that the order in which a norm adds them shows in its last bits."""
+    scale = 10.0 ** -rng.integers(0, 9, (2, k, d))
+    return rng.uniform(-1, 1, (2, k, d)) * scale
+
+
+class TestOneNorm:
+    """Every distance, gate and bound is one sum in coordinate order, so
+    they agree to the last bit in any dimension."""
+
+    @pytest.mark.parametrize("norm", ["euclidean", "max", "manhattan"])
+    def test_distance_gate_and_bound_agree(self, norm):
+        rng = np.random.default_rng(13)
+        for d in range(1, 17):
+            a, b = corner_pairs(rng, 200, d)
+            dist = distances_to(a - b, np.zeros(d), norm)
+            ref = [left_to_right_norm((x - y).tolist(), norm) for x, y in zip(a, b)]
+            assert dist.tolist() == ref, d
+            for x, y, eps in zip(a[:50], b[:50], ref):
+                assert distance(x, y, norm) == eps
+                assert bbox_diameter(np.array([x, y]), norm) == eps
+                assert _within(np.array([x, y]), np.array([0]), np.array([1]),
+                               eps, norm)[0]
+
+    def test_no_coordinates_is_zero(self):
         for norm in ("euclidean", "max", "manhattan"):
-            assert bbox_diameter(pts, norm) >= pairwise_distances(pts, norm).max() - 1e-12
+            assert distance([], [], norm) == 0.0
+            assert bbox_diameter(np.empty((3, 0)), norm) == 0.0
+
+    def test_unknown_norm(self):
+        with pytest.raises(ConfigError):
+            distance([0.0], [1.0], "chebyshev")
