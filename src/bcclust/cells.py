@@ -1,17 +1,16 @@
 """Cell lists: candidate pools that hold every gated neighborhood in a few index
 ranges, and the exact component finder of a gate.
 
-The gated coordinates are the positions (cell side eps1) and, when eps2 is
-finite, the features (cell side eps2); a coordinate whose confidence level is
-infinite gates nothing and is left out.  Particles are ordered by the cell of
+The gated coordinates are those of the groups that model._gates keeps: the
+features (cell side eps2) and the positions (cell side eps1), each only when
+its bounding box is wider than its eps.  Particles are ordered by the cell of
 every gated coordinate but the last, then by the last coordinate.  A particle
 within eps of particle i in every gated coordinate lies in a cell row adjacent
 to i's own, inside the window last_i +/- eps of that row, and each such window
 is one contiguous range of the order.  The union of those ranges is i's
-candidate pool, which holds the whole neighborhood N_i.  With only one gated
-coordinate (1D positions, no feature gate) there are no rows, and the pool is
-exactly N_i.  With none (a spec of infinite confidence levels) the pool is one
-range of every particle, the pool of the symmetric-mode subset draw.
+candidate pool, which holds the whole neighborhood N_i.  With one gated
+coordinate there are no rows, and the pool is exactly N_i.  With none the pool
+is one range of every particle, which is N_i too.
 """
 
 from __future__ import annotations
@@ -23,13 +22,14 @@ from itertools import product
 import numpy as np
 
 from . import model
-from .model import InteractionSpec, ParticleSet, _interacts, _within, bbox_diameter
+from .model import InteractionSpec, ParticleSet, _gate, _gates, _row_tiles, _within
 
 
 @dataclass(frozen=True)
 class CandidatePool:
     """Per-particle candidate ranges into a cell-sorted order.
 
+    groups: the gated (points, eps, norm) groups, from model._gates.
     order: particle indices sorted by (cell row, last coordinate).
     lo, hi: (n, R) half-open ranges into `order`, one per adjacent cell row.
     rank: position of each particle in `order`.
@@ -37,8 +37,7 @@ class CandidatePool:
     exact: every candidate is in N_i, so no gate is needed.
     """
 
-    ps: ParticleSet
-    spec: InteractionSpec
+    groups: list
     order: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -48,24 +47,24 @@ class CandidatePool:
 
     def gate(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether j is in N_i, elementwise over broadcast index arrays."""
-        return _interacts(self.ps.positions, self.ps.features, i, j, self.spec)
+        return _gate(self.groups, i, j)
 
 
 def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:
     """Build the candidate ranges for the step state ps."""
     n = ps.n
+    groups = _gates(ps.positions, ps.features, spec)
+    if not groups:
+        whole = np.zeros((n, 1), dtype=np.int64)
+        return CandidatePool(groups, np.arange(n), whole, whole + n, np.arange(n), 0, True)
     # Positions go last: they are what clusters, and the last coordinate is
     # searched with a +/- eps window where the others span three cells.
-    cols = [(ps.features[:, k], spec.eps2, spec.norm2) for k in range(ps.d2)]
-    cols += [(ps.positions[:, k], spec.eps1, spec.norm1) for k in range(ps.d1)]
-    gated = [c for c in cols if np.isfinite(c[1])]
-    if not gated:
-        whole = np.zeros((n, 1), dtype=np.int64)
-        return CandidatePool(ps, spec, np.arange(n), whole, whole + n,
-                             np.arange(n), 0, True)
-    *rows, (last, eps_last, norm_last) = gated
+    *rows, (last, eps_last, norm_last) = [
+        (c, eps, norm) for points, eps, norm in groups for c in points.T]
     if not rows:
-        return _line_pool(ps, spec, last, eps_last, norm_last)
+        # ties in a lone position column are equal particles, so the 5x faster
+        # unstable sort cannot change a step; ties in a feature column can
+        return _line_pool(groups, last, eps_last, norm_last, groups[0][0] is not ps.positions)
 
     # Cells are a hair wider than eps, so rounding never puts two particles
     # within eps of each other two cells apart, and at least 2**-511 wide: a
@@ -118,20 +117,15 @@ def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:
             lo[:, col])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    return CandidatePool(ps, spec, order, lo[rank], hi[rank], rank, own, False)
+    return CandidatePool(groups, order, lo[rank], hi[rank], rank, own, False)
 
 
-def _line_pool(ps, spec, last, eps, norm) -> CandidatePool:
+def _line_pool(groups, last, eps, norm, stable) -> CandidatePool:
     # One gated coordinate: N_i is the run of the sorted order within eps of
     # i, as the gate is monotone in that coordinate on either side of i.
     # A binary search finds the run up to rounding at its ends, and the gate
     # trims those, never past i itself.
-    if ps.d1 == 1 and np.isfinite(spec.eps1):
-        # ties in the only position coordinate are equal positions, so their
-        # order cannot change a step; the unstable sort is 5x faster
-        order = np.argsort(last)
-    else:
-        order = np.argsort(last, kind="stable")
+    order = np.argsort(last, kind="stable" if stable else None)
     srt = last[order]
     margin = 1e-13 * (max(abs(srt[0]), abs(srt[-1])) + eps + 1.0)
     lo = np.searchsorted(srt, srt - (eps + margin), side="left")
@@ -148,32 +142,31 @@ def _line_pool(ps, spec, last, eps, norm) -> CandidatePool:
             end[out] += step
     rank = np.empty(srt.size, dtype=np.int64)
     rank[order] = np.arange(srt.size)
-    return CandidatePool(ps, spec, order, lo[rank, None], hi[rank, None], rank, 0, True)
+    return CandidatePool(groups, order, lo[rank, None], hi[rank, None], rank, 0, True)
 
 
 def components(groups, n: int) -> np.ndarray:
     """Connected-component label of each of n particles under a gate.
 
-    groups: (points, tol, norm) triples, points an (n, d) array.  Particles i
-    and j are joined when _within(points, i, j, tol, norm) holds in every
-    group.  A group whose tol is infinite, or whose bounding box lies within
-    tol, joins every pair.  Components are numbered by their lowest member.
-    They are exact but for euclidean tolerances below 2**-511, where squared
-    gaps underflow.
+    groups: the gated (points, tol, norm) triples, points an (n, d) array, as
+    model._gates finds them.  Particles i and j are joined when model._gate
+    holds for them; with no group, every pair is joined.  Components are
+    numbered by their lowest member.  They are exact but for euclidean
+    tolerances below 2**-511, where squared gaps underflow.
 
     This is grid-based exact single linkage, as in grid DBSCAN (Gan & Tao,
     SIGMOD 2015).  Two particles sharing a cell are always joined.  Two cells
-    a stencil offset apart are joined only if a cross check, in batches of
-    about model._TILE_PAIRS member pairs, finds a member pair that passes the
-    gate.  A cell pair already joined through others is skipped, so a large
-    pair stops at the first chunk of rows that finds one.
+    within reach of each other in every coordinate are joined only if a
+    cross check, in batches of about model._TILE_PAIRS member pairs, finds a
+    member pair that passes the gate.  A cell pair already joined through
+    others is skipped, so a large pair stops at the first chunk of rows that
+    finds one.
     """
-    gated = [(p, tol, norm) for p, tol, norm in groups if bbox_diameter(p, norm) > tol]
-    if not gated:
+    if not groups:
         return np.zeros(n, dtype=np.intp)
-    alone = sum(p.shape[1] for p, _, _ in gated) == 1
+    alone = sum(p.shape[1] for p, _, _ in groups) == 1
     cols = [_cell_column(c, tol, p.shape[1], norm, alone)
-            for p, tol, norm in gated for c in p.T]
+            for p, tol, norm in groups for c in p.T]
 
     # One integer key per cell, each digit padded by its reach so that a key
     # plus a stencil offset never carries into the next digit.
@@ -183,21 +176,32 @@ def components(groups, n: int) -> np.ndarray:
         stride *= int(q.max()) + 2 * r + 1
     dtype = np.int64 if stride < 2**63 else object
     key = sum((q + r).astype(dtype) * s for (q, r), s in zip(cols, strides))
-    cells, cell_of = np.unique(key, return_inverse=True)
+    cells, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
     m = cells.size
     order = np.argsort(cell_of, kind="stable")
     size = np.bincount(cell_of, minlength=m)
     start = np.cumsum(size) - size
 
-    # Adjacent cell pairs, one stencil offset at a time; of each offset and
-    # its negation only the one with a positive key step is needed.
+    # Adjacent cell pairs a < b.  The stencil holds (2 * reach + 1)**d
+    # offsets, which outgrows the cells themselves in a few dimensions; then
+    # the cells are compared pairwise, in row tiles.  Otherwise the pairs
+    # come one stencil offset at a time, and of each offset and its negation
+    # only the one with a positive key step is needed.
     pairs = [np.empty((2, 0), dtype=np.intp)]
-    for off in product(*(range(-r, r + 1) for _, r in cols)):
-        step = sum(o * s for o, s in zip(off, strides))
-        if step > 0:
-            at = np.minimum(np.searchsorted(cells, cells + step), m - 1)
-            hit = np.flatnonzero(cells[at] == cells + step)
-            pairs.append(np.stack([hit, at[hit]]))
+    if m <= math.prod(2 * r + 1 for _, r in cols):
+        cell_q = [(q[first], r) for q, r in cols]
+        for rows in _row_tiles(m, m):
+            near = np.triu(np.ones((rows.stop - rows.start, m), dtype=bool), rows.start + 1)
+            for q, r in cell_q:
+                near &= np.abs(q[rows, None] - q[None, :]) <= r
+            pairs.append(np.array(np.nonzero(near)) + [[rows.start], [0]])
+    else:
+        for off in product(*(range(-r, r + 1) for _, r in cols)):
+            step = sum(o * s for o, s in zip(off, strides))
+            if step > 0:
+                at = np.minimum(np.searchsorted(cells, cells + step), m - 1)
+                hit = np.flatnonzero(cells[at] == cells + step)
+                pairs.append(np.stack([hit, at[hit]]))
     a, b = np.concatenate(pairs, axis=1)
 
     # Each pair is split into units of rows of its first cell, at most
@@ -222,15 +226,13 @@ def components(groups, n: int) -> np.ndarray:
         t = np.arange(k.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         i = order[(start[ca] + lo)[k] + t // nb[k]]
         j = order[start[cb][k] + t % nb[k]]
-        ok = np.ones(k.size, dtype=bool)
-        for p, tol, norm in gated:
-            ok &= _within(p, i, j, tol, norm)
+        ok = _gate(groups, i, j)
         hit = np.bincount(k[ok], minlength=ca.size) > 0
         root = _link(root, ca[hit], cb[hit])
 
     comp = root[cell_of]
-    _, first, inv = np.unique(comp, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inv]
+    _, lowest, inv = np.unique(comp, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(lowest))[inv]
 
 
 def _cell_column(col, tol, dim, norm, alone):

@@ -7,7 +7,7 @@ violating cluster pairs as one record array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from .model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
-    _interacts,
+    _gate,
+    _gates,
     _nearest_distances,
     _norm,
     _row_tiles,
@@ -110,27 +111,23 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
 
     Two particles in different components never interact, and features never
     move, so the components hold for a whole run.  They are found by
-    cells.components for any number of features.  Returns one (idx, spread)
-    pair per component of two or more particles, in the order of their lowest
-    members: idx its sorted indices, spread whether its feature bounding box
-    exceeds eps2, so that its pairs need the feature test; when it does not,
-    every pair passes.  A particle alone in its component has zero drift and
-    is left out.
+    cells.components for any number of features.  Returns the sorted indices
+    of each component of two or more particles, in the order of their lowest
+    members.  A particle alone in its component has zero drift and is left
+    out.
     """
-    return [(idx, bbox_diameter(ps.features[idx], spec.norm2) > spec.eps2)
-            for idx in _members(components([(ps.features, spec.eps2, spec.norm2)], ps.n))
-            if idx.size > 1]
+    groups = _gates(ps.positions, ps.features, replace(spec, eps1=np.inf))
+    return [idx for idx in _members(components(groups, ps.n)) if idx.size > 1]
 
 
-def _dense_drift(xc: np.ndarray, fc: np.ndarray | None, spec: InteractionSpec,
-                 n: int) -> np.ndarray:
+def _dense_drift(xc: np.ndarray, gates: list, spec: InteractionSpec, n: int) -> np.ndarray:
     """Drift of one block of an n-particle set, its positions xc and its
-    features fc (None when every pair passes the feature test), gated by
-    model._interacts in row tiles of model._TILE_PAIRS pairs."""
+    groups from model._gates, gated by model._gate in row tiles of
+    model._TILE_PAIRS pairs."""
     vc = np.empty_like(xc)
     idx = np.arange(xc.shape[0])
     for rows in _row_tiles(xc.shape[0], xc.shape[0]):
-        gate = _interacts(xc, fc, idx[rows, None], idx[None, :], spec)
+        gate = _gate(gates, idx[rows, None], idx[None, :])
         deg = gate.sum(axis=1)
         sigma = float(n) if spec.sigma_mode == "symmetric" else deg[:, None]
         vc[rows] = (gate.astype(float) @ xc - deg[:, None] * xc[rows]) / sigma
@@ -143,25 +140,24 @@ def _drift(ps: ParticleSet, spec: InteractionSpec,
 
     The drift splits into independent blocks, one per static-feature
     component (see _feature_blocks); blocks may carry them precomputed, since
-    callers stepping in a loop find them once.  A block whose position and
-    feature bounding boxes lie within eps1 and eps2 interacts pair by pair,
-    and its velocity collapses to (mean_C - x), times |C|/n in symmetric
-    mode: O(|C|).  Any other block is gated densely, O(|C|^2) time, in row
-    tiles of bounded memory; only a block whose features spread over more
-    than eps2 takes the feature test there.
+    callers stepping in a loop find them once.  A block in which model._gates
+    finds no group interacts pair by pair, and its velocity collapses to
+    (mean_C - x), times |C|/n in symmetric mode: O(|C|).  Any other block is
+    gated densely by those groups, O(|C|^2) time, in row tiles.
     """
     x = ps.positions
     if blocks is None:
         blocks = _feature_blocks(ps, spec)
     v = np.zeros_like(x)
-    for idx, spread in blocks:
+    for idx in blocks:
         xc = x[idx]
-        if not spread and bbox_diameter(xc, spec.norm1) <= spec.eps1:
+        gates = _gates(xc, ps.features[idx], spec)
+        if not gates:
             vc = xc.mean(axis=0)[None, :] - xc
             if spec.sigma_mode == "symmetric":
                 vc *= idx.size / ps.n
         else:
-            vc = _dense_drift(xc, ps.features[idx] if spread else None, spec, ps.n)
+            vc = _dense_drift(xc, gates, spec, ps.n)
         v[idx] = vc
     return v
 
@@ -242,15 +238,15 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
     member, with their weights, centers and feature statistics as columns.
 
     Edge (i, j) iff position distance <= merge_tol and feature distance <= eps2,
-    under the direct gate model._within, ties included.  cells.components
+    under the direct gate model._gate, ties included.  cells.components
     finds them on a grid, the same finder that splits the Euler blocks.
     Callers take merge_tol from default_merge_tol of the initial set, not
     of the collapsed state passed here.
     """
     if merge_tol <= 0:
         raise ConfigError("merge_tol must be positive")
-    labels = components([(ps.positions, merge_tol, spec.norm1),
-                         (ps.features, spec.eps2, spec.norm2)], ps.n)
+    labels = components(_gates(ps.positions, ps.features, replace(spec, eps1=merge_tol)),
+                        ps.n)
     size = np.bincount(labels)
     # bincount adds each cluster's members in index order, as mean(axis=0)
     # over the member rows does when they have two or more columns

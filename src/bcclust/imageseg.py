@@ -14,8 +14,8 @@ from .mfi import MfiConfig, mfi_simulate
 
 # Largest pixel count handled by the exact integrator by default.  The limit
 # is set by time: a step costs O(|C|^2) time for each static-feature component
-# C of the pixels that has not collapsed within eps1, and O(|C|) for each one
-# that has, so at this limit a step over one spread component takes seconds.
+# C of the pixels in which a group still gates (model._gates), and O(|C|) for
+# each one in which none does, so at this limit a step over one takes seconds.
 # All pixels form one component when no gap between sorted intensities
 # exceeds eps2.  Memory is no limit: a step keeps row tiles of 1 MiB.
 DETERMINISTIC_PIXEL_LIMIT = 2**14

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import candidate_pool
-from .model import ConfigError, InteractionSpec, ParticleSet, _interacts
+from .model import ConfigError, InteractionSpec, ParticleSet, _gate, _gates
 from .rng import RngStream
 from .dynamics import Trajectory, _check_schedule, _run
 
@@ -51,9 +51,9 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int) -> 
     symmetric = spec.sigma_mode == "symmetric"
     pool = candidate_pool(ps, InteractionSpec(eps1=np.inf) if symmetric else spec)
     sub = RngStream(cfg.seed).subsets(k, cfg.M, pool).T  # (M, n)
-    if symmetric:
-        i = np.arange(ps.n)
-        sub = np.where(_interacts(x, ps.features, i, sub, spec), sub, -1)
+    gates = _gates(x, ps.features, spec) if symmetric else []
+    if gates:
+        sub = np.where(_gate(gates, np.arange(ps.n), sub), sub, -1)
     # Every partner left is in N_i.  A -1, for a partner dropped by the gate
     # or for the padding of a small neighborhood, picks the zero appended to
     # each coordinate column.

@@ -161,22 +161,28 @@ def bbox_diameter(points: np.ndarray, norm: str) -> float:
 
 def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     """distance(points[i], points[j], norm) <= eps, elementwise over broadcast
-    index arrays, one coordinate at a time, so at most two float arrays of
-    the broadcast shape are alive at once."""
-    if points.shape[1] == 0 or not np.isfinite(eps):
-        return np.ones(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=bool)
-    return _norm((col[j] - col[i] for col in points.T), norm) <= eps
+    index arrays or for scalar indices, one coordinate at a time, so at most
+    two float arrays of the broadcast shape are alive at once.  points has at
+    least one column."""
+    return _norm((np.asarray(col[j] - col[i]) for col in points.T), norm) <= eps
 
 
-def _interacts(positions: np.ndarray, features: np.ndarray | None, i, j,
-               spec: InteractionSpec) -> np.ndarray:
-    """The interaction gate of every integrator: within eps1 in position and
-    eps2 in feature, elementwise over broadcast index arrays.  The feature
-    test is skipped when features is None (every pair is known to pass it),
-    has no column, or eps2 is infinite."""
-    ok = _within(positions, i, j, spec.eps1, spec.norm1)
-    if features is not None and features.shape[1] and np.isfinite(spec.eps2):
-        ok &= _within(features, i, j, spec.eps2, spec.norm2)
+def _gates(positions: np.ndarray, features: np.ndarray, spec: InteractionSpec) -> list:
+    """The (points, eps, norm) groups that some pair fails, features first:
+    those whose bounding box is wider than their eps.  A narrower group, one
+    without columns or one of infinite eps passes every pair, as the norm
+    grows with each coordinate difference."""
+    groups = ((features, spec.eps2, spec.norm2), (positions, spec.eps1, spec.norm1))
+    return [g for g in groups if bbox_diameter(g[0], g[2]) > g[1]]
+
+
+def _gate(groups: list, i, j) -> np.ndarray:
+    """The interaction gate: _within ANDed over a nonempty list of groups
+    from _gates, elementwise over broadcast index arrays."""
+    (points, eps, norm), *rest = groups
+    ok = _within(points, i, j, eps, norm)
+    for points, eps, norm in rest:
+        ok &= _within(points, i, j, eps, norm)
     return ok
 
 

@@ -104,9 +104,9 @@ class RngStream:
 
     seed: int
 
-    def subsets(self, step: int, M: int, pool, particles=None) -> np.ndarray:
-        """Sampled index rows from a CandidatePool, shape (len(particles), M);
-        particles defaults to every particle of the pool.
+    def subsets(self, step: int, M: int, pool) -> np.ndarray:
+        """Sampled index rows from a CandidatePool, shape (n, M), one row per
+        particle.
 
         Each row is an M-subset of N_i \\ {i} drawn uniformly without
         repetition, a pure function of (seed, step, i) given the pool's step
@@ -115,31 +115,24 @@ class RngStream:
         particle, so its rows are M-subsets of {0..n-1} \\ {i}.
         """
         n = len(pool.order)
-        every = particles is None
-        if every:
-            particles = np.arange(n)
-        particles = np.asarray(particles, dtype=np.int64)
         if not 1 <= M <= n - 1:
             raise ConfigError(f"subset size M={M} is below 1 or exceeds the "
                               f"{n - 1} other particles")
-        keys = _particle_keys(self.seed, step, particles)
+        keys = _particle_keys(self.seed, step, np.arange(n))
         rows = max(1, _BLOCK // M)
-        parts = []
-        for a in range(0, len(particles), rows):
-            b = slice(a, a + rows)
-            parts.append(self._from_pool(keys[b], particles[b], M, pool,
-                                         b if every else particles[b]))
+        parts = [self._from_pool(keys[a:a + rows], M, pool, slice(a, a + rows))
+                 for a in range(0, n, rows)]
         return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
 
-    def _from_pool(self, keys, particles, M, pool, sel):
+    def _from_pool(self, keys, M, pool, sel):
         # A row's candidates are its pool less i, numbered 0..size-1 in pool
         # order.  Keyed draws with replacement, with repeats skipped, visit
         # them in uniformly random order; the first M that pass the gate are
         # a uniform M-subset of N_i \ {i}.  Round a draws the next M * 2**a
         # slots, for the rows still short of M.
         # Arrays are laid out (slot, row): each slot is one contiguous vector.
-        # sel picks the pool rows of `particles`; slices stand in for index
-        # arrays that would select a run of rows.
+        # sel is the slice of particles drawn for.
+        particles = np.arange(*sel.indices(len(pool.order)))
         lo, hi = pool.lo[sel], pool.hi[sel]
         lens = hi - lo
         end = np.cumsum(lens, axis=1)

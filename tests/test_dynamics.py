@@ -1,13 +1,14 @@
 """Euler integrator, cluster extraction, steady-state verification."""
 
 import tracemalloc
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcclust import dynamics, model
+from bcclust import cells, dynamics, model
 from bcclust.imageseg import segment
 from bcclust.mfi import MfiConfig
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
@@ -192,6 +193,23 @@ class TestBlockedDrift:
             blocked = _drift(ps, spec)
         np.testing.assert_allclose(blocked, dense_drift(ps, spec), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["symmetric", "stochastic"])
+    def test_each_block_gates_only_what_spreads(self, mode):
+        """Two feature blocks: one whose positions lie within eps1 and whose
+        features spread, and one the other way round.  Each is gated by its
+        one spread group, and the drift equals the dense mask's bit for bit
+        (the coordinates are eighths, so every sum is exact)."""
+        pos = [[0.5], [0.625], [0.5], [0.75], [0.0], [0.5], [1.0], [0.25]]
+        feat = [[0.0], [0.25], [0.5], [0.75], [4.0], [4.125], [4.25], [4.0]]
+        ps = ParticleSet(pos, feat)
+        spec = InteractionSpec(eps1=0.375, eps2=0.25, sigma_mode=mode)
+        blocks = dynamics._feature_blocks(ps, spec)
+        assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        gated = [[g[1] for g in model._gates(ps.positions[b], ps.features[b], spec)]
+                 for b in blocks]
+        assert gated == [[0.25], [0.375]]
+        np.testing.assert_array_equal(_drift(ps, spec), dense_drift(ps, spec))
+
     def test_step_memory_bounded_in_one_component(self):
         """A block whose positions and features both spread is gated in row
         tiles, features inside each tile: no n x n feature mask."""
@@ -337,6 +355,46 @@ class TestKnifeEdgeR8:
         got = {frozenset(np.flatnonzero(cs.labels == c).tolist())
                for c in range(cs.n_clusters)}
         assert got == brute_force_components(ps, eps, spec)
+
+
+class TestCellPairs:
+    """components compares cells pairwise when they are fewer than the
+    stencil's offsets, and walks the stencil otherwise; both agree with the
+    brute-force graph."""
+
+    def case(self, d, n, spread):
+        rng = np.random.default_rng(d)
+        centres = rng.uniform(0, 1, (n // 6, d))
+        pos = np.repeat(centres, 6, axis=0) + rng.normal(0, spread, (n // 6 * 6, d))
+        return ParticleSet(pos, rng.uniform(0, 1, (pos.shape[0], 1)))
+
+    @pytest.mark.parametrize("norm", ["euclidean", "max", "manhattan"])
+    def test_high_dimension_skips_the_stencil(self, monkeypatch, norm):
+        """In R^8 the stencil holds at least 5**8 offsets, for 300 points."""
+        def no_stencil(*args, **kwargs):
+            raise AssertionError("the stencil was walked")
+        monkeypatch.setattr(cells, "product", no_stencil)
+        ps = self.case(8, 300, 0.02)
+        spec = InteractionSpec(eps1=0.1, eps2=0.5, norm1=norm)
+        cs = extract_clusters(ps, 0.12, spec)
+        got = {frozenset(np.flatnonzero(cs.labels == c).tolist())
+               for c in range(cs.n_clusters)}
+        assert got == brute_force_components(ps, 0.12, spec)
+        assert 50 < len(got) < 300
+
+    def test_many_cells_walk_the_stencil(self, monkeypatch):
+        walked = []
+        def spy(*args):
+            walked.append(True)
+            return product(*args)
+        monkeypatch.setattr(cells, "product", spy)
+        ps = self.case(2, 600, 0.01)
+        spec = InteractionSpec(eps1=0.1, eps2=0.5)
+        cs = extract_clusters(ps, 0.02, spec)
+        got = {frozenset(np.flatnonzero(cs.labels == c).tolist())
+               for c in range(cs.n_clusters)}
+        assert walked and got == brute_force_components(ps, 0.02, spec)
+        assert 50 < len(got) < 600
 
 
 class TestExtractClusters:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcclust import mfi
+from bcclust.cells import candidate_pool
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import euler_step
 from bcclust.mfi import MfiConfig, mfi_simulate, mfi_step
+from bcclust.rng import RngStream
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
 
@@ -81,6 +84,21 @@ class TestMfiStep:
         hi = ps.positions.max(axis=0) + 1e-12
         assert np.all(nxt.positions >= lo[None, :])
         assert np.all(nxt.positions <= hi[None, :])
+
+    def test_symmetric_step_with_every_group_vacuous(self, monkeypatch):
+        """Positions within eps1 and features within eps2: no draw is gated,
+        every drawn partner counts, and Abar is 1."""
+        def no_gate(*args):
+            raise AssertionError("a group that gates nothing was applied")
+        monkeypatch.setattr(mfi, "_gate", no_gate)
+        rng = np.random.default_rng(0)
+        ps = ParticleSet(rng.uniform(0, 1, (20, 2)), rng.uniform(0, 1, (20, 1)))
+        spec = InteractionSpec(eps1=1.5, eps2=1.0, sigma_mode="symmetric")
+        cfg = MfiConfig(M=5, dt=0.5, t_final=1.0, seed=3)
+        sub = RngStream(3).subsets(7, 5, candidate_pool(ps, InteractionSpec(eps1=np.inf)))
+        x = ps.positions
+        np.testing.assert_allclose(mfi_step(ps, spec, cfg, 7).positions,
+                                   x + 0.5 * (x[sub].mean(axis=1) - x), rtol=0, atol=1e-15)
 
     def test_features_shared_not_copied(self):
         rng = np.random.default_rng(0)

@@ -11,6 +11,8 @@ from bcclust.model import (
     DimensionMismatch,
     InteractionSpec,
     ParticleSet,
+    _gate,
+    _gates,
     _within,
     bbox_diameter,
     distance,
@@ -297,6 +299,14 @@ class TestOneNorm:
                 assert _within(np.array([x, y]), np.array([0]), np.array([1]),
                                eps, norm)[0]
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("norm", ["euclidean", "max", "manhattan"])
+    def test_within_takes_scalar_indices(self, norm, d):
+        pts = corner_pairs(np.random.default_rng(d), 1, d)[:, 0]
+        dist = distance(pts[0], pts[1], norm)
+        for eps in (0.5 * dist, dist, 2.0 * dist):
+            assert _within(pts, 0, 1, eps, norm) == (dist <= eps)
+
     def test_no_coordinates_is_zero(self):
         for norm in ("euclidean", "max", "manhattan"):
             assert distance([], [], norm) == 0.0
@@ -305,3 +315,36 @@ class TestOneNorm:
     def test_unknown_norm(self):
         with pytest.raises(ConfigError):
             distance([0.0], [1.0], "chebyshev")
+
+
+class TestGates:
+    """A group gates only when some pair fails it: when its bounding box is
+    wider than its eps."""
+
+    def test_group_within_its_eps_gates_nothing(self):
+        pos = np.array([[0.0, 0.0], [0.3, 0.4], [0.1, 0.2]])
+        feat = np.array([[0.0], [0.5], [1.0]])
+        diam = bbox_diameter(pos, "euclidean")
+        assert diam == 0.5
+        at_edge = InteractionSpec(eps1=diam, eps2=0.25)
+        assert [g[1] for g in _gates(pos, feat, at_edge)] == [0.25]
+        assert [g[1] for g in _gates(pos, feat, InteractionSpec(eps1=0.4, eps2=0.25))] \
+            == [0.25, 0.4], "features come first"
+        assert _gates(pos, feat, InteractionSpec(eps1=diam, eps2=1.0)) == []
+        assert _gates(pos, np.empty((3, 0)), InteractionSpec(eps1=np.inf, eps2=0.0)) == []
+
+    @given(particle_sets(with_features=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gate_is_the_interaction_mask(self, ps, data):
+        """Dropping the groups that gate nothing leaves the gate unchanged,
+        eps at the box diameter included."""
+        eps1 = data.draw(st.sampled_from([0.5, 2.0, bbox_diameter(ps.positions, "max")]))
+        eps2 = data.draw(st.sampled_from([0.5, np.inf, bbox_diameter(ps.features, "max")]))
+        spec = InteractionSpec(eps1=eps1, eps2=eps2, norm1="max", norm2="max")
+        groups = _gates(ps.positions, ps.features, spec)
+        mask = interaction_mask(ps, spec)
+        if groups:
+            i, j = np.ogrid[:ps.n, :ps.n]
+            np.testing.assert_array_equal(_gate(groups, i, j), mask)
+        else:
+            assert mask.all()

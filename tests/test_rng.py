@@ -1,12 +1,14 @@
 """Counter-based subset sampling: determinism, validity, uniformity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from bcclust.cells import candidate_pool
-from bcclust.model import ConfigError, InteractionSpec, ParticleSet
+from bcclust.model import ConfigError, InteractionSpec, ParticleSet, bbox_diameter
 from oracles import neighborhood
 from bcclust import rng as rng_module
 from bcclust.rng import RngStream, derive_seed
@@ -63,20 +65,15 @@ class TestDeterminism:
         b = s.subsets(7, 5, whole_pool(30))
         np.testing.assert_array_equal(a, b)
 
-    def test_single_matches_batch_row(self):
-        """Per-particle draws must not depend on which particles are evaluated."""
+    def test_single_matches_batch_row(self, monkeypatch):
+        """Per-particle draws must not depend on which particles are drawn
+        with them: a row drawn alone, one row per block, equals its batch
+        row."""
         s = RngStream(11)
         pool = whole_pool(25)
         batch = s.subsets(3, 6, pool)
-        for i in (0, 10, 24):
-            np.testing.assert_array_equal(
-                s.subsets(3, 6, pool, particles=np.array([i]))[0], batch[i])
-
-    def test_subset_of_particles_matches_full_batch(self):
-        s = RngStream(99)
-        full = s.subsets(0, 4, whole_pool(40))
-        part = s.subsets(0, 4, whole_pool(40), particles=np.array([5, 17, 33]))
-        np.testing.assert_array_equal(part, full[[5, 17, 33]])
+        monkeypatch.setattr(rng_module, "_BLOCK", 1)
+        np.testing.assert_array_equal(s.subsets(3, 6, pool), batch)
 
     def test_streams_differ_across_keys(self):
         pool = whole_pool(100)
@@ -177,39 +174,43 @@ class TestNeighborhoodSubsets:
         pool = candidate_pool(ps, spec)
         assert pool.hi[0].sum() - pool.lo[0].sum() > 300
         for step in range(20):
-            row = RngStream(1).subsets(step, 10, pool, particles=np.array([0]))[0]
+            row = RngStream(1).subsets(step, 10, pool)[0]
             assert sorted(row.tolist()) == [-1] * 8 + [1, 2]
-
-    def test_single_matches_batch_row(self):
-        rng = np.random.default_rng(2)
-        ps = ParticleSet(rng.uniform(0, 1, (300, 2)), rng.uniform(0, 1, (300, 1)))
-        spec = InteractionSpec(eps1=0.3, eps2=0.5, sigma_mode="stochastic")
-        pool = candidate_pool(ps, spec)
-        s = RngStream(11)
-        batch = s.subsets(3, 6, pool)
-        for i in (0, 10, 150, 299):
-            np.testing.assert_array_equal(
-                s.subsets(3, 6, pool, particles=np.array([i]))[0], batch[i])
-        part = s.subsets(3, 6, pool, particles=np.array([5, 17, 33]))
-        np.testing.assert_array_equal(part, batch[[5, 17, 33]])
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("d1, d2", [(1, 0), (2, 1)])
     def test_blocks_match_one_block(self, monkeypatch, block, d1, d2):
-        """Rows drawn a few at a time equal the rows drawn all at once, for
-        every particle and for a chosen few."""
+        """Rows drawn a few at a time, or one at a time, equal the rows
+        drawn all at once."""
         rng = np.random.default_rng(4)
         ps = ParticleSet(rng.uniform(0, 1, (300, d1)),
                          rng.uniform(0, 1, (300, d2)) if d2 else None)
         spec = InteractionSpec(eps1=0.3, eps2=0.5, sigma_mode="stochastic")
         pool = candidate_pool(ps, spec)
         s = RngStream(8)
-        some = np.array([299, 3, 150, 4, 77])
         whole = s.subsets(2, 6, pool)
-        part = s.subsets(2, 6, pool, particles=some)
         monkeypatch.setattr(rng_module, "_BLOCK", block)
         np.testing.assert_array_equal(s.subsets(2, 6, pool), whole)
-        np.testing.assert_array_equal(s.subsets(2, 6, pool, particles=some), part)
+
+    @given(gated_sets(), st.integers(0, 2**63 - 1), st.integers(0, 1000), st.integers(0, 99))
+    @example((ParticleSet([[0.0], [0.25], [1.0]], [[0.0], [0.5], [0.75]]),
+              InteractionSpec(eps1=0.0, eps2=0.25, sigma_mode="stochastic")), 0, 0, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_position_gate_at_box_diameter_is_vacuous(self, case, seed, step, m):
+        """eps1 equal to the position box diameter passes every pair, so the
+        pool is exactly N_i: the feature line pool when one feature column
+        gates, the whole set when nothing does."""
+        ps, spec = case
+        spec = replace(spec, eps1=bbox_diameter(ps.positions, spec.norm1))
+        pool = candidate_pool(ps, spec)
+        assert pool.exact and pool.lo.shape[1] == 1
+        M = 1 + m % (ps.n - 1)
+        rows = RngStream(seed).subsets(step, M, pool)
+        for i in range(ps.n):
+            nb = neighbors(ps, spec, i)
+            assert set(pool.order[pool.lo[i, 0]:pool.hi[i, 0]].tolist()) - {i} == nb
+            picked = set(rows[i][rows[i] >= 0].tolist())
+            assert picked <= nb and len(picked) == min(M, len(nb))
 
     @pytest.mark.parametrize("n, d1, eps1", [(200, 1, 0.5), (60, 1, 0.4), (150, 2, 0.4)])
     def test_marginal_counts_are_flat(self, n, d1, eps1):
@@ -218,29 +219,44 @@ class TestNeighborhoodSubsets:
         The cases cover exact 1D pools drawn by keyed draws, pools small
         enough to be scanned, and 2D pools whose corners the gate rejects.
         """
-        M, steps = 4, 400
         ps = ParticleSet(np.random.default_rng(n).uniform(0, 1, (n, d1)))
         spec = InteractionSpec(eps1=eps1, sigma_mode="stochastic")
+        assert_flat(ps, spec, candidate_pool(ps, spec))
+
+    @pytest.mark.parametrize("d1", [1, 2])
+    def test_feature_line_pool_is_flat(self, d1):
+        """Positions all within eps1 and one feature column that gates: the
+        pool is the exact feature line pool, and its draws are uniform."""
+        rng = np.random.default_rng(d1)
+        ps = ParticleSet(rng.uniform(0, 1, (150, d1)), rng.uniform(0, 1, (150, 1)))
+        spec = InteractionSpec(eps1=2.0, eps2=0.3, sigma_mode="stochastic")
         pool = candidate_pool(ps, spec)
-        s = RngStream(123)
-        counts = np.zeros((n, n))
-        for k in range(steps):
-            rows = s.subsets(k, M, pool)
-            for i in range(n):
-                counts[i, rows[i][rows[i] >= 0]] += 1
-        checked = 0
+        assert pool.exact and pool.lo.shape[1] == 1
+        assert_flat(ps, spec, pool)
+
+
+def assert_flat(ps, spec, pool, M=4, steps=400):
+    """Pearson test that each row's draws are uniform over N_i \\ {i}."""
+    n = ps.n
+    s = RngStream(123)
+    counts = np.zeros((n, n))
+    for k in range(steps):
+        rows = s.subsets(k, M, pool)
         for i in range(n):
-            nb = sorted(neighbors(ps, spec, i))
-            if len(nb) <= M:
-                continue
-            assert counts[i].sum() == counts[i, nb].sum() == steps * M
-            # Pearson statistic of an M-of-K draw without repetition; the
-            # per-slot variance is reduced by the factor 1 - M/K
-            p = M / len(nb)
-            stat = ((counts[i, nb] - steps * p) ** 2).sum() / (steps * p * (1 - p))
-            assert chi2.sf(stat, len(nb) - 1) > 1e-6, f"row {i} is not flat"
-            checked += 1
-        assert checked > n // 2
+            counts[i, rows[i][rows[i] >= 0]] += 1
+    checked = 0
+    for i in range(n):
+        nb = sorted(neighbors(ps, spec, i))
+        if len(nb) <= M:
+            continue
+        assert counts[i].sum() == counts[i, nb].sum() == steps * M
+        # Pearson statistic of an M-of-K draw without repetition; the
+        # per-slot variance is reduced by the factor 1 - M/K
+        p = M / len(nb)
+        stat = ((counts[i, nb] - steps * p) ** 2).sum() / (steps * p * (1 - p))
+        assert chi2.sf(stat, len(nb) - 1) > 1e-6, f"row {i} is not flat"
+        checked += 1
+    assert checked > n // 2
 
 
 class TestDeriveSeed:
