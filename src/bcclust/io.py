@@ -80,8 +80,9 @@ def _write_csv(path, header, rows) -> None:
 # float64 under numpy's older value-based casting.
 
 _FIELD = 32
-_CHUNK = 8192  # values per block: a uint64 temporary is 64 KiB, below
-               # glibc's 128 KiB mmap threshold, so blocks reuse heap memory
+_CHUNK = 8192  # values per block: a uint64 temporary is 64 KiB, and
+               # model._keep_freed_heap keeps freed heap from being trimmed,
+               # so each block reuses the pages of the last
 _CASES = 27 * 17  # exponents -10..16 times the index 0..16 of the last nonzero digit
 
 _U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)

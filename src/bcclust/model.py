@@ -1,11 +1,13 @@
 """Core interaction primitives: configuration, particle sets, metrics and the direct gate.
 
 All operations here are pure reads over immutable particle snapshots and are
-safe to call concurrently.
+safe to call concurrently.  Importing the module sets the process's heap
+policy once (_keep_freed_heap).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +18,47 @@ SIGMA_MODES = ("symmetric", "stochastic")
 # Pairs of every dense pairwise evaluation done at once: gates, cross checks
 # and nearest distances.  At 2**17 pairs a float temporary is 1 MiB, so the
 # two that _within keeps alive and the tile's bool gate fit a 2 MiB per-core
-# L2 cache, and the allocator reuses them from its heap instead of mapping
-# fresh pages on every call (cache blocking, as for GEMM in Goto & van de
-# Geijn, ACM TOMS 34(3), 2008).
+# L2 cache (cache blocking, as for GEMM in Goto & van de Geijn, ACM TOMS
+# 34(3), 2008).  Being under _keep_freed_heap's 32 MiB mmap threshold, each
+# tile reuses heap pages freed by the last instead of faulting in new ones.
 _TILE_PAIRS = 2**17
+
+# glibc's mallopt parameters, and the ceiling glibc's own dynamic mmap
+# threshold may reach on 64-bit systems (DEFAULT_MMAP_THRESHOLD_MAX).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 * 2**20
+
+
+def _keep_freed_heap() -> None:
+    """Keep up to 64 MiB of freed heap in the process, on glibc only.
+
+    By default glibc maps each block over 128 KiB and gives the top of the
+    heap back to the kernel once more than 128 KiB of it is free; freeing a
+    mapped block raises the mmap threshold to its size (up to 32 MiB) and the
+    trim threshold to twice that.  Until then, the MiB-sized temporaries one
+    step frees (gate tiles, (M, n) draws) are faulted in again by the next.
+    This sets both where that rule ends: the mmap threshold at its 32 MiB
+    ceiling and the trim threshold at twice it.  Blocks over 32 MiB are still
+    mapped and returned when freed.  The mmap threshold goes first, because
+    setting the trim threshold alone switches the dynamic thresholds off, and
+    the trim threshold follows only if that call succeeded.  Without a C
+    library handle that has mallopt, nothing changes.  Runs once, when
+    bcclust is imported; no result depends on it.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # TypeError: Windows has no CDLL(None)
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
+_keep_freed_heap()
 
 
 class ClusteringError(Exception):
