@@ -28,8 +28,7 @@ def run(name, cfg, seed, M, dt):
     spec = b.InteractionSpec(eps1=cfg["eps1"], sigma_mode="stochastic")
     tr = b.mfi_simulate(ps0, spec,
                         b.MfiConfig(M=M, dt=dt, t_final=cfg["t_final"], seed=seed))
-    fin = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
-    cs = b.extract_clusters(fin, b.default_merge_tol(ps0, spec), spec)
+    cs = b.extract_clusters(tr.final, b.default_merge_tol(ps0, spec), spec)
     return (cs.n_clusters, int((cs.weights >= 0.01).sum()),
             b.verify_steady_state(cs, spec).passed)
 

@@ -125,6 +125,8 @@ def _initial_particles(p: dict) -> ParticleSet:
 
 
 def cmd_simulate(p: dict) -> None:
+    if p["bins"] < 1:
+        raise ConfigError("--bins must be at least 1")
     spec = _spec_from(p)
     ps0 = _initial_particles(p)
     p.update(n=ps0.n, d1=ps0.d1)  # so the manifest gives an --init-file's set
@@ -134,11 +136,10 @@ def cmd_simulate(p: dict) -> None:
     else:
         tr = mfi_simulate(ps0, spec, MfiConfig(p["M"], p["dt"], p["t_final"],
                                                p["seed"], p["record_every"]))
-    final = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
     merge_tol = p["merge_tol"]
     if merge_tol is None:
         merge_tol = default_merge_tol(ps0, spec)
-    cs = extract_clusters(final, merge_tol, spec)
+    cs = extract_clusters(tr.final, merge_tol, spec)
     report = verify_steady_state(cs, spec)
     bio.write_trajectory_csv(_out(p, "trajectory.csv"), tr, ps0.features)
     bio.write_moments_csv(_out(p, "moments.csv"), tr.moments)
@@ -178,8 +179,8 @@ def cmd_shape(p: dict) -> None:
     bio.write_sweep_summary_csv(_out(p, "summary.csv"), result)
     for r in result.rows:
         name = f"centers_a{r.alpha}_e{r.eps1}_r{r.run}.csv"
-        bio._write_csv(_out(p, name), ["center_1", "center_2"],
-                       ([*c] for c in r.centers))
+        bio._write_rows(_out(p, name), ["center_1", "center_2"],
+                        [[bio._float_fields(r.centers)]])
     for s in result.summary:
         if s.best:
             print(f"alpha={s.alpha:g}: best eps1={s.eps1:g} "
@@ -203,6 +204,8 @@ _SEGMENT = (
 
 
 def cmd_segment(p: dict) -> None:
+    if p["threshold"] is not None and not 0 <= p["threshold"] <= 1:
+        raise ConfigError("--threshold must lie in [0, 1]")
     if not os.path.exists(p["input"]):
         raise ClusteringError(f"input file not found: {p['input']}")
     img = load_grayscale(p["input"])
@@ -274,7 +277,8 @@ def cmd_bench(p: dict) -> None:
     for (n, M), sec in zip(grid, _time_grid(grid, p["steps"], p["eps1"], p["seed"])):
         rows.append([n, M, sec])
         print(f"n={n} M={M}: {sec * 1e3:.3f} ms/step")
-    bio._write_csv(_out(p, "bench.csv"), ["n", "M", "seconds_per_step"], rows)
+    bio._write_rows(_out(p, "bench.csv"), ["n", "M", "seconds_per_step"],
+                    [bio._columns(rows, "iif")])
 
 
 # -- parser -------------------------------------------------------------------

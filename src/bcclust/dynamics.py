@@ -43,17 +43,20 @@ class IntegratorConfig:
 
     def __post_init__(self):
         _check_schedule(self)
-        if self.stop_tol < 0:
+        if not self.stop_tol >= 0:
             raise ConfigError("stop_tol must be nonnegative")
 
 
 def _check_schedule(cfg) -> None:
-    """The checks both integrators' configs share: dt, t_final, record_every."""
+    """The checks both integrators' configs share: dt, t_final, record_every.
+    Each is written so that a nan fails it."""
     if not 0 < cfg.dt <= 1:
         raise ConfigError(f"dt must be in (0, 1], got {cfg.dt}")
-    if cfg.t_final < cfg.dt:
+    if not cfg.t_final >= cfg.dt:
         raise ConfigError("t_final must be at least dt")
-    if cfg.record_every < 1:
+    if cfg.t_final == np.inf:
+        raise ConfigError("t_final must be finite")
+    if not cfg.record_every >= 1:
         raise ConfigError("record_every must be a positive integer")
 
 
@@ -61,13 +64,10 @@ def _check_schedule(cfg) -> None:
 class Trajectory:
     snapshots: list  # (t, positions copy), strictly increasing times
     moments: MomentRecord
+    final: ParticleSet  # the end state, with its features and t
     terminated_early: bool = False
     reason: str | None = None
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def final_positions(self) -> np.ndarray:
-        return self.snapshots[-1][1]
 
 
 @dataclass
@@ -203,7 +203,7 @@ def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
     if snapshots[-1][0] != ps.t:
         snapshots.append((ps.t, ps.positions.copy()))
         record.append(ps)
-    return Trajectory(snapshots, record, terminated, reason, metadata)
+    return Trajectory(snapshots, record, ps, terminated, reason, metadata)
 
 
 def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig) -> Trajectory:
@@ -243,8 +243,8 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
     Callers take merge_tol from default_merge_tol of the initial set, not
     of the collapsed state passed here.
     """
-    if merge_tol <= 0:
-        raise ConfigError("merge_tol must be positive")
+    if not merge_tol > 0:
+        raise ConfigError(f"merge_tol must be positive, got {merge_tol}")
     labels = components(_gates(ps.positions, ps.features, replace(spec, eps1=merge_tol)),
                         ps.n)
     size = np.bincount(labels)

@@ -177,10 +177,9 @@ def segment(img: GrayImage, spec: InteractionSpec, method: str = "auto",
         tr = mfi_simulate(ps0, spec, MfiConfig(M, dt, t_final, seed))
     else:
         raise ConfigError(f"unknown method {method!r}")
-    final = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
     if merge_tol is None:
         merge_tol = default_merge_tol(ps0, spec)
-    cs = extract_clusters(final, merge_tol, spec)
+    cs = extract_clusters(tr.final, merge_tol, spec)
     means = cs.feature_mean[:, 0]  # the features are the intensities
     return SegmentationResult(cs.labels, means,
                               GrayImage(img.width, img.height, means[cs.labels]), cs)

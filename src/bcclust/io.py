@@ -2,11 +2,11 @@
 (temp file + rename) with comma separators, '.' decimals and a header row.
 Floats are written as %.17g, which round-trips every double exactly.
 
-The snapshot files (trajectory.csv, density.csv) hold one row per particle
-or bin per snapshot, so their floats go through `_g17`, an exact numpy
-kernel for '%.17g' % v that gives the same bytes as Python's.  Write a
-finite x with 1e-10 <= |x| < 1e17 as m * 2**q with m < 2**53; its decimal
-exponent E lies in [-10, 16].  The 17 significant digits are
+Every table is written by `_write_rows` from uint8 fields: integers
+through `_int_fields`, floats through `_g17`, an exact numpy kernel for
+'%.17g' % v that gives the same bytes as Python's.  Write a finite x with
+1e-10 <= |x| < 1e17 as m * 2**q with m < 2**53; its decimal exponent E
+lies in [-10, 16].  The 17 significant digits are
 D = round-half-even(m * 5**k * 2**(q + k)) with k = 16 - E, and since
 5**k < 2**63 the product m * 5**k is formed exactly as two uint64 words
 (the fixed-width integer method of Ryu printf, Adams, OOPSLA 2019).  E is
@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import math
 import os
 import re
 import tempfile
@@ -29,15 +30,6 @@ import warnings
 import numpy as np
 
 from .model import ClusteringError, ConfigError, ParticleSet
-
-_FLOAT_FMT = "%.17g"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return _FLOAT_FMT % v
-    return str(v)
-
 
 @contextlib.contextmanager
 def _atomic_open(path, binary: bool = False):
@@ -60,21 +52,13 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Small tables: each value of each row formatted by _fmt."""
-    with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
-
-
 # -- exact %.17g ---------------------------------------------------------------
 #
 # A value's text is laid out in one 32-byte field of four little-endian
 # words, with NUL bytes where it has no character; the NULs are dropped when
-# a block of rows is written.  Bytes 0-6 end with ',', a '-' and the lead
-# "0." and zeros of -4 <= E <= -1, the first digit is byte 7, and the other
-# 16 digits (bytes 8-23) move up one byte past the '.'.  The exponent
+# a block of rows is written.  Byte 0 is ',', bytes 1-6 end with a '-' and
+# the lead "0." and zeros of -4 <= E <= -1, the first digit is byte 7, and
+# the other 16 digits (bytes 8-23) move up one byte past the '.'.  The exponent
 # "e-05".."e-10" of E < -4 follows the last digit kept.  All uint64
 # arithmetic has np.uint64 operands, so that no mixed operation promotes to
 # float64 under numpy's older value-based casting.
@@ -107,7 +91,7 @@ def _layout_tables():
     """Word masks and constant bytes of a field for each case
     (E + 10) * 17 + last: which of the 16 digits after the first stay in
     place (keep) or move up one byte (shift), the '.' and exponent, and
-    word 0 with its ',', lead and, in the second half, '-'."""
+    word 0 with its ',' at byte 0, lead and, in the second half, '-'."""
     e = np.repeat(np.arange(-10, 17), 17)[:, None]
     last = np.tile(np.arange(17), 27)[:, None]
     b = np.arange(_FIELD)
@@ -124,13 +108,13 @@ def _layout_tables():
          (e < -4) & (b == end + 2), (e < -4) & (b == end + 3)],
         [ord("."), ord("."), ord("0"), ord("e"), ord("-"),
          48 + (-e) // 10, 48 + (-e) % 10])
-    plus = np.where(b == start - 1, ord(","), text)
-    minus = np.select([b == start - 2, b == start - 1], [ord(","), ord("-")], text)
+    text[:, 0] = ord(",")  # start >= 2 leaves byte 1 for the '-'
+    minus = np.where(b == start - 1, ord("-"), text)
 
     def words(a, j):  # word j of each case's 32 bytes
         return a.astype(np.uint8).view("<u8")[:, j].astype(np.uint64)
     keep, shift = 255 * keep, 255 * shift
-    return (np.concatenate([words(plus, 0), words(minus, 0)]),
+    return (np.concatenate([words(text, 0), words(minus, 0)]),
             words(keep, 1), words(keep, 2),
             words(shift, 1), words(shift, 2), words(shift, 3),
             words(text, 1), words(text, 2), words(text, 3))
@@ -210,61 +194,60 @@ def _g17(x, text) -> None:
                  | text2[idx])
     out[:, 3] = ((g2 >> _U56) & shift3[idx]) | text3[idx]
     for i in np.flatnonzero(~exact):
-        s = ("," + _FLOAT_FMT % x[i]).encode()
+        s = b",%.17g" % x[i]
         text[i] = 0
         text[i, :len(s)] = np.frombuffer(s, np.uint8)
 
 
-def _float_fields(x, out=None) -> np.ndarray:
-    """(x.size, _FIELD) uint8 fields of the values of x in row-major order,
-    formatted in blocks of _CHUNK; written into out when given."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if out is None:
-        out = np.empty((x.size, _FIELD), np.uint8)
-    for i in range(0, x.size, _CHUNK):
-        _g17(x[i:i + _CHUNK], out[i:i + _CHUNK])
-    return out
+def _float_fields(x) -> np.ndarray:
+    """The fields of the values of x, formatted in blocks of _CHUNK: a row
+    per row of x, of one field per value in it (one for 1-d x)."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty((flat.size, _FIELD), np.uint8)
+    for i in range(0, flat.size, _CHUNK):
+        _g17(flat[i:i + _CHUNK], out[i:i + _CHUNK])
+    return out.reshape(len(x), _FIELD * math.prod(x.shape[1:]))
 
 
 def _int_fields(v) -> np.ndarray:
-    """(len(v), w) uint8: ',' and the decimal digits of each v >= 0, then
-    NUL bytes."""
-    text = np.array([b",%d" % k for k in np.asarray(v).tolist()], dtype=bytes)
+    """(len(v), w) uint8: ',' and the decimal digits of each integer of v,
+    then NUL bytes.  A sequence is not made an array first: numpy would
+    turn one holding integers on both sides of 2**63 into floats."""
+    vals = v.tolist() if isinstance(v, np.ndarray) else v
+    text = np.array([b",%d" % k for k in vals], dtype=bytes)
     return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
-def _write_snapshot_rows(path, header, tr, prefix, values, fields, chunk,
-                         suffix=None) -> None:
-    """The header, then for each snapshot (t, pos) of tr one row per row r
-    of prefix: t, prefix[r], fields(values(pos)[r]) and suffix[r], where
-    prefix, fields and suffix are uint8 text padded with NUL bytes.  Each
-    block of chunk rows is assembled in one reused buffer and written with
-    its NULs dropped.  The '\n' ending a row is written at the start of the
-    next, with the time, so that no row needs a column of its own for it."""
-    n = prefix.shape[0]
-    buf = np.empty(0, np.uint8)
-    keep = np.empty(0, bool)
+def _columns(rows, kinds: str) -> list:
+    """A block of the table of row tuples: column k as _float_fields when
+    kinds[k] is 'f', as _int_fields when it is 'i'."""
+    cols = list(zip(*rows)) or [()] * len(kinds)
+    return [_float_fields(c) if k == "f" else _int_fields(c)
+            for k, c in zip(kinds, cols)]
+
+
+def _write_rows(path, header, blocks) -> None:
+    """The header line, then the rows of each block, a list of uint8 field
+    arrays of one row each per table row (or one row, repeated), each field
+    starting with ',' and padded with NUL bytes.  A block is assembled in
+    one array, where the ',' of a row's first field becomes the '\n'
+    ending the row before, and written with its NULs dropped; a repeated
+    row is stripped of them once, before it is copied."""
     with _atomic_open(path, binary=True) as fh:
         fh.write(",".join(header).encode())
-        for t, pos in tr.snapshots:
-            tcol = np.frombuffer(("\n" + _FLOAT_FMT % t).encode(), np.uint8)
-            vals = values(pos)
-            for r0 in range(0, n, chunk):
-                r1 = min(n, r0 + chunk)
-                parts = [tcol, prefix[r0:r1], fields(vals[r0:r1])]
-                if suffix is not None:
-                    parts.append(suffix[r0:r1])
-                width = sum(p.shape[-1] for p in parts)
-                if buf.size < (r1 - r0) * width:
-                    buf = np.empty(chunk * width, np.uint8)
-                    keep = np.empty(buf.size, bool)
-                block = buf[:(r1 - r0) * width].reshape(r1 - r0, width)
-                c = 0
-                for p in parts:
-                    block[:, c:c + p.shape[-1]] = p
-                    c += p.shape[-1]
-                flat = block.reshape(-1)
-                fh.write(flat[np.not_equal(flat, 0, out=keep[:flat.size])])
+        for parts in blocks:
+            parts = [p[:, p[0] != 0] if len(p) == 1 else p for p in parts]
+            rows = max(len(p) for p in parts)
+            width = sum(p.shape[1] for p in parts)
+            block = np.empty((rows, width), np.uint8)
+            c = 0
+            for p in parts:
+                block[:, c:c + p.shape[1]] = p
+                c += p.shape[1]
+            block[:, 0] = ord("\n")
+            flat = block.reshape(-1)
+            fh.write(flat[flat != 0])
         fh.write(b"\n")
 
 
@@ -300,13 +283,15 @@ def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
     d2 = features.shape[1]
     header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
               + [f"c_{k + 1}" for k in range(d2)])
-    suffix = _float_fields(features).reshape(n, d2 * _FIELD) if d2 else None
+    index, feats = _int_fields(np.arange(n)), _float_fields(features)
     chunk = max(1, _CHUNK // d1)
-    text = np.empty((chunk * d1, _FIELD), np.uint8)
-    def fields(x):
-        return _float_fields(x, text[:x.size]).reshape(x.shape[0], d1 * _FIELD)
-    _write_snapshot_rows(path, header, tr, _int_fields(np.arange(n)),
-                         lambda pos: pos, fields, chunk, suffix)
+    times = _float_fields([t for t, _ in tr.snapshots])
+    def blocks():
+        for k, (_, pos) in enumerate(tr.snapshots):
+            for r in range(0, n, chunk):
+                yield [times[k:k + 1], index[r:r + chunk],
+                       _float_fields(pos[r:r + chunk]), feats[r:r + chunk]]
+    _write_rows(path, header, blocks())
 
 
 def read_trajectory_csv(path):
@@ -331,9 +316,9 @@ def write_moments_csv(path, record) -> None:
     header = ["t"] + [f"u_{k + 1}" for k in range(d1)]
     pairs = [(k, j) for k in range(d1) for j in range(k, d1)]
     header += [f"E_{k + 1}{j + 1}" for k, j in pairs]
-    rows = ([t, *u, *[E[k, j] for k, j in pairs]]
-            for t, u, E in zip(record.times, record.u, record.E))
-    _write_csv(path, header, rows)
+    k, j = np.triu_indices(d1)  # the pairs, in the same order
+    table = np.column_stack([record.times, record.u, np.array(record.E)[:, k, j]])
+    _write_rows(path, header, [[_float_fields(table)]])
 
 
 def read_moments_csv(path):
@@ -360,7 +345,7 @@ def write_clusters_csv(path, cs) -> None:
         header += [f"feature_{stat}_{k + 1}" for k in range(d2)]
     table = np.column_stack([cs.weights, cs.centers, cs.feature_mean,
                              cs.feature_min, cs.feature_max])
-    _write_csv(path, header, ([cid, *row] for cid, row in enumerate(table.tolist())))
+    _write_rows(path, header, [[_int_fields(np.arange(len(table))), _float_fields(table)]])
 
 
 def read_clusters_csv(path):
@@ -374,7 +359,7 @@ def read_clusters_csv(path):
 def write_steady_state_csv(path, report) -> None:
     """One row per violating cluster pair; an empty body means stationary."""
     header = ["cluster_i", "cluster_k", "center_distance", "min_feature_gap"]
-    _write_csv(path, header, report.violations.tolist())
+    _write_rows(path, header, [_columns(report.violations.tolist(), "iiff")])
 
 
 # -- density histograms -------------------------------------------------------
@@ -407,30 +392,37 @@ def write_density_csv(path, tr, bins: int) -> None:
             return np.histogram2d(pos[:, 0], pos[:, 1],
                                   bins=(edges, edges))[0].astype(np.int64).ravel()
     count_text = _int_fields(np.arange(n + 1))
-    _write_snapshot_rows(path, header, tr, prefix, counts,
-                         lambda c: count_text[c], _CHUNK)
+    times = _float_fields([t for t, _ in tr.snapshots])
+    def blocks():
+        for k, (_, pos) in enumerate(tr.snapshots):
+            c = counts(pos)
+            for r in range(0, c.size, _CHUNK):
+                yield [times[k:k + 1], prefix[r:r + _CHUNK], count_text[c[r:r + _CHUNK]]]
+    _write_rows(path, header, blocks())
 
 
 # -- shape sweeps -------------------------------------------------------------
 
 def write_sweep_csv(path, result) -> None:
-    _write_csv(path, ["alpha", "eps1", "run", "seed", "E", "n_clusters"],
-               ([r.alpha, r.eps1, r.run, r.seed, r.error, r.n_clusters]
-                for r in result.rows))
+    _write_rows(path, ["alpha", "eps1", "run", "seed", "E", "n_clusters"],
+                [_columns([(r.alpha, r.eps1, r.run, r.seed, r.error, r.n_clusters)
+                           for r in result.rows], "ffiifi")])
 
 
 def write_sweep_summary_csv(path, result) -> None:
-    _write_csv(path, ["alpha", "eps1", "mean_E", "mean_n_clusters", "best"],
-               ([s.alpha, s.eps1, s.mean_error, s.mean_clusters, int(s.best)]
-                for s in result.summary))
+    _write_rows(path, ["alpha", "eps1", "mean_E", "mean_n_clusters", "best"],
+                [_columns([(s.alpha, s.eps1, s.mean_error, s.mean_clusters, s.best)
+                           for s in result.summary], "ffffi")])
 
 
 # -- segmentation labels ------------------------------------------------------
 
 def write_labels_csv(path, sr) -> None:
-    w = sr.output.width
-    _write_csv(path, ["row", "col", "cluster_id"],
-               ([i // w, i % w, int(lab)] for i, lab in enumerate(sr.labels)))
+    w, h = sr.output.width, sr.output.height
+    ints = _int_fields(np.arange(max(w, h, int(sr.labels.max()) + 1)))
+    i = np.arange(sr.labels.size)
+    _write_rows(path, ["row", "col", "cluster_id"],
+                [[ints[i // w], ints[i % w], ints[sr.labels]]])
 
 
 # -- particles ----------------------------------------------------------------
@@ -438,8 +430,7 @@ def write_labels_csv(path, sr) -> None:
 def write_particles_csv(path, ps) -> None:
     header = ([f"x_{k + 1}" for k in range(ps.d1)]
               + [f"c_{k + 1}" for k in range(ps.d2)])
-    rows = ([*ps.positions[i], *ps.features[i]] for i in range(ps.n))
-    _write_csv(path, header, rows)
+    _write_rows(path, header, [[_float_fields(np.hstack([ps.positions, ps.features]))]])
 
 
 def read_particles_csv(path) -> ParticleSet:

@@ -90,7 +90,7 @@ class InteractionSpec:
     sigma_mode: str = "symmetric"
 
     def __post_init__(self):
-        if self.eps1 < 0 or self.eps2 < 0:
+        if not (self.eps1 >= 0 and self.eps2 >= 0):  # nan fails too
             raise ConfigError("confidence levels must be nonnegative")
         if self.norm1 not in NORMS or self.norm2 not in NORMS:
             raise ConfigError(f"norm must be one of {NORMS}")

@@ -40,8 +40,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError("noise fraction alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigError(f"noise fraction alpha must be finite and positive, "
+                              f"got {self.alpha}")
         if self.dist not in ("uniform", "gaussian"):
             raise ConfigError("noise dist must be 'uniform' or 'gaussian'")
 
@@ -207,8 +208,7 @@ def _run_cell(task) -> SweepRow:
     cfg = MfiConfig(M=M, dt=dt, t_final=t_final, seed=derive_seed(seed, 2))
     tr = mfi_simulate(ps0, spec, cfg)
     tol = default_merge_tol(ps0, spec) if merge_tol is None else merge_tol
-    cs = extract_clusters(
-        ps0.with_positions(tr.final_positions, tr.snapshots[-1][0]), tol, spec)
+    cs = extract_clusters(tr.final, tol, spec)
     return SweepRow(alpha, eps1, run, seed, error_measure(cs, pat), cs.n_clusters,
                     cs.centers)
 
@@ -234,6 +234,11 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
         raise ConfigError("alphas, eps1_list and runs_per_cell must be nonempty")
     if len(set(alphas)) < len(alphas) or len(set(eps1_list)) < len(eps1_list):
         raise ConfigError("alphas and eps1_list must not repeat a value")
+    for alpha in alphas:  # each cell's settings are checked before any run
+        NoiseSpec(alpha, noise_dist)
+    for eps1 in eps1_list:
+        InteractionSpec(eps1=eps1, sigma_mode=sigma_mode)
+    MfiConfig(M=M, dt=dt, t_final=t_final, seed=master_seed)
     tasks = [(pat, alpha, eps1, run, derive_seed(master_seed, ai, ei, run),
               noise_dist, M, dt, t_final, sigma_mode, merge_tol)
              for ai, alpha in enumerate(alphas)

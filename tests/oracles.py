@@ -1,6 +1,6 @@
 """Brute-force reference implementations of the interaction gate, of the
 cluster columns and steady-state check, of the shape noise injection and of
-the snapshot CSV files.
+the CSV tables.
 
 Each answers one question a particle at a time or over the whole (n, n)
 matrix, the way the model is written down, so tests can compare the
@@ -134,6 +134,16 @@ def perturb_loop(pat, ns) -> np.ndarray:
                 out[i] = cand
                 break
     return out
+
+
+def csv_table(header, rows) -> bytes:
+    """A CSV table written a value at a time: the header line, then each
+    row's values joined by ',', a float (Python or numpy) as '%.17g' % v
+    and anything else as str(v), each line ending in a newline."""
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
+                       for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def snapshot_blocks(tr, rows, values):

@@ -32,8 +32,7 @@ def mfi_run_1d(n, eps1, seed, t_final, stream):
     spec = b.InteractionSpec(eps1=eps1, sigma_mode="stochastic")
     cfg = b.MfiConfig(M=10, dt=0.5, t_final=t_final, seed=seed)
     tr = b.mfi_simulate(ps0, spec, cfg)
-    fin = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
-    return b.extract_clusters(fin, b.default_merge_tol(ps0, spec), spec), spec
+    return b.extract_clusters(tr.final, b.default_merge_tol(ps0, spec), spec), spec
 
 
 class TestCriterion1:
@@ -82,8 +81,7 @@ class TestCriterion3:
             spec = b.InteractionSpec(eps1=0.15, sigma_mode="stochastic")
             cfg = b.MfiConfig(M=10, dt=0.5, t_final=50.0, seed=seed)
             tr = b.mfi_simulate(ps0, spec, cfg)
-            fin = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
-            cs = b.extract_clusters(fin, b.default_merge_tol(ps0, spec), spec)
+            cs = b.extract_clusters(tr.final, b.default_merge_tol(ps0, spec), spec)
             counts.append(cs.n_clusters)
             ss_ok += b.verify_steady_state(cs, spec).passed
         modal = collections.Counter(counts).most_common(1)[0][0]
@@ -104,8 +102,7 @@ class TestCriterion4:
         spec = b.InteractionSpec(eps1=eps1, eps2=eps2, sigma_mode="stochastic")
         cfg = b.MfiConfig(M=10, dt=0.5, t_final=50.0, seed=seed)
         tr = b.mfi_simulate(ps0, spec, cfg)
-        fin = ps0.with_positions(tr.final_positions, tr.snapshots[-1][0])
-        cs = b.extract_clusters(fin, b.default_merge_tol(ps0, spec), spec)
+        cs = b.extract_clusters(tr.final, b.default_merge_tol(ps0, spec), spec)
         return cs, b.verify_steady_state(cs, spec)
 
     def test_static_feature_clustering(self, capsys):

@@ -397,6 +397,47 @@ class TestBenchCommand:
                     "--out-dir", str(tmp_path)]) == 2
 
 
+class TestUsageErrorsWriteNothing:
+    """A parameter out of its range, nan or infinite is a usage error found
+    before any run: exit 2, and no output directory."""
+
+    BASE = {
+        "simulate": ["--n", "40", "--eps1", "0.2", "--mode", "stochastic",
+                     "--t-final", "1"],
+        "segment": ["--eps1", "0.5", "--eps2", "0.3", "--t-final", "1"],
+        "shape": ["--n", "40", "--alpha-list", "0.05", "--eps1-list", "0.1",
+                  "--t-final", "1"],
+    }
+
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("simulate", "--bins", "-3"), ("simulate", "--bins", "0"),
+        ("simulate", "--t-final", "nan"), ("simulate", "--t-final", "inf"),
+        ("simulate", "--eps2", "nan"), ("simulate", "--merge-tol", "nan"),
+        ("segment", "--threshold", "2"), ("segment", "--threshold", "nan"),
+        ("segment", "--eps1", "nan"), ("segment", "--eps2", "nan"),
+        ("segment", "--merge-tol", "nan"),
+        ("shape", "--alpha-list", "nan"), ("shape", "--alpha-list", "inf"),
+        ("shape", "--eps1-list", "nan"), ("shape", "--t-final", "inf"),
+    ])
+    def test_exit_2_and_no_output(self, tmp_path, monkeypatch, capsys,
+                                  cmd, flag, value):
+        from bcclust import shapes
+
+        # a sweep run in this process fails the test instead of hanging on
+        # a nan noise fraction
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(shapes, "perturb",
+                            mock.Mock(side_effect=AssertionError("a run started")))
+        argv = [cmd, *self.BASE[cmd], flag, value, "--out-dir", str(tmp_path / "out")]
+        if cmd == "segment":
+            path = tmp_path / "img.pgm"
+            write_image(GrayImage(4, 4, np.linspace(0, 1, 16)), path, "P5")
+            argv += ["--input", str(path)]
+        assert run(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def modules_after_cli_import(*names):
     """Which of the given modules (and their submodules) a fresh interpreter
     has loaded after `import bcclust.cli`."""

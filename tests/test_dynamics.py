@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bcclust import cells, dynamics, model
 from bcclust.imageseg import segment
-from bcclust.mfi import MfiConfig
+from bcclust.mfi import MfiConfig, mfi_simulate
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import (
     IntegratorConfig,
@@ -59,6 +59,8 @@ class TestIntegratorConfig:
         (dict(dt=0.5, t_final=0.1), "t_final must be at least dt"),
         (dict(dt=0.5, t_final=1.0, record_every=0),
          "record_every must be a positive integer"),
+        (dict(dt=0.5, t_final=np.nan), "t_final must be at least dt"),
+        (dict(dt=0.5, t_final=np.inf), "t_final must be finite"),
     ])
     def test_shared_schedule_checks(self, make, kw, message):
         """Both integrators' configs reject a bad dt, t_final or
@@ -70,6 +72,17 @@ class TestIntegratorConfig:
     def test_stop_tol_nonnegative(self):
         with pytest.raises(ConfigError, match="stop_tol"):
             IntegratorConfig(dt=0.5, t_final=1.0, stop_tol=-1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: IntegratorConfig(dt=0.5, t_final=1.0, stop_tol=np.nan),
+        lambda: extract_clusters(ParticleSet([[0.0], [0.5]]), np.nan,
+                                 InteractionSpec(eps1=0.1)),
+    ], ids=["stop_tol", "merge_tol"])
+    def test_nan_tolerance_rejected(self, make):
+        """A nan fails the range checks instead of passing them: a nan
+        merge_tol merged every particle into one cluster."""
+        with pytest.raises(ConfigError):
+            make()
 
 
 class TestEulerStep:
@@ -290,12 +303,31 @@ class TestSimulate:
         for _, pos in tr.snapshots:
             np.testing.assert_array_equal(pos, ps.positions)
 
+    @pytest.mark.parametrize("run", [
+        lambda ps, spec: simulate(ps, spec, IntegratorConfig(
+            dt=0.5, t_final=2.5, stop_tol=0.0, record_every=2)),
+        lambda ps, spec: simulate(ps.with_positions(np.full((30, 2), 0.5), 0.0),
+                                  spec, IntegratorConfig(dt=0.5, t_final=2.5)),
+        lambda ps, spec: mfi_simulate(ps, spec, MfiConfig(
+            M=3, dt=0.5, t_final=2.5, seed=1, record_every=2)),
+    ], ids=["euler", "early-stop", "mfi"])
+    def test_final_is_the_end_state(self, run):
+        """tr.final is the last snapshot as a ParticleSet: its positions and
+        time, with the features of the start."""
+        rng = np.random.default_rng(4)
+        ps = ParticleSet(rng.uniform(0, 1, (30, 2)), rng.uniform(0, 1, (30, 1)))
+        tr = run(ps, InteractionSpec(eps1=0.3, eps2=0.5, sigma_mode="stochastic"))
+        t, pos = tr.snapshots[-1]
+        assert tr.final.t == t
+        np.testing.assert_array_equal(tr.final.positions, pos)
+        assert tr.final.features is ps.features
+
     def test_consensus_with_global_interaction(self):
         rng = np.random.default_rng(2)
         ps = ParticleSet(rng.uniform(0, 1, (50, 1)))
         tr = simulate(ps, InteractionSpec(eps1=2.0),
                       IntegratorConfig(dt=0.5, t_final=40.0))
-        final = tr.final_positions
+        final = tr.final.positions
         np.testing.assert_allclose(final, final.mean(), atol=1e-6)
         np.testing.assert_allclose(final.mean(), ps.positions.mean(), atol=1e-10)
 

@@ -1,43 +1,36 @@
 """CSV and manifest round trips."""
 
 import csv
-import io
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcclust import io as bio
+from bcclust import cli, io as bio
 from bcclust.model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
-from bcclust.dynamics import IntegratorConfig, extract_clusters, simulate, \
-    verify_steady_state
+from bcclust.dynamics import (ClusterSet, IntegratorConfig, SteadyStateReport,
+                              extract_clusters, simulate, verify_steady_state)
+from bcclust.imageseg import GrayImage, SegmentationResult
 from bcclust.mfi import MfiConfig, mfi_simulate
-from bcclust.shapes import generate_letter_A, sweep
-from oracles import density_csv, trajectory_csv
+from bcclust.moments import MomentRecord
+from bcclust.shapes import (SweepResult, SweepRow, SweepSummary, generate_letter_A,
+                            sweep)
+from oracles import csv_table, density_csv, trajectory_csv
 
 SPECIAL = [-0.0, 1.0, 5e-324, 1e-300, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
-
-
-def oracle_csv(header, rows) -> bytes:
-    """Brute-force reference: one row at a time through csv.writer, each
-    float (Python or numpy) formatted as %.17g and anything else by str."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row])
-    return buf.getvalue().encode()
 
 
 def oracle_trajectory(tr, features) -> bytes:
     d1, d2 = tr.snapshots[0][1].shape[1], features.shape[1]
     header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
               + [f"c_{k + 1}" for k in range(d2)])
-    return oracle_csv(header, ([t, i, *pos[i], *features[i]]
-                               for t, pos in tr.snapshots
-                               for i in range(pos.shape[0])))
+    return csv_table(header, ([t, i, *pos[i], *features[i]]
+                              for t, pos in tr.snapshots
+                              for i in range(pos.shape[0])))
 
 
 def oracle_density(tr, bins) -> bytes:
@@ -48,14 +41,14 @@ def oracle_density(tr, bins) -> bytes:
         for t, pos in tr.snapshots:
             counts, _ = np.histogram(pos[:, 0], bins=edges)
             rows += [[t, b, centers[b], int(counts[b])] for b in range(bins)]
-        return oracle_csv(["t", "bin", "x_center", "count"], rows)
+        return csv_table(["t", "bin", "x_center", "count"], rows)
     rows = []
     for t, pos in tr.snapshots:
         counts, _, _ = np.histogram2d(pos[:, 0], pos[:, 1], bins=(edges, edges))
         rows += [[t, bx, by, centers[bx], centers[by], int(counts[bx, by])]
                  for bx in range(bins) for by in range(bins)]
-    return oracle_csv(["t", "bin_x", "bin_y", "x_center", "y_center", "count"],
-                      rows)
+    return csv_table(["t", "bin_x", "bin_y", "x_center", "y_center", "count"],
+                     rows)
 
 
 class Snapshots:
@@ -228,6 +221,141 @@ class TestSnapshotBlocks:
         assert path.read_bytes() == density_csv(tr, bins)
 
 
+# The kernel's edges and the values it leaves to '%.17g' % v: nan, both
+# infinities and zeros, subnormals, the ends of its exact range 1e-10 and
+# 1e17 with their neighbours, and values past that range.
+EDGE_DOUBLES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.225073858507201e-308, 1e-10, float(np.nextafter(1e-10, 0)), -1e-10,
+                1e17, float(np.nextafter(1e17, 0)), -1e17, 1e-300, 1e300, 0.1, 1 / 3]
+EDGE_SEEDS = [0, 9, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def filled(values, cols) -> np.ndarray:
+    """values repeated row-major into the fewest (rows, cols) that hold
+    each of them once."""
+    return np.resize(np.asarray(values, dtype=float), (-(-len(values) // cols), cols))
+
+
+def cycled(ints, n) -> list:
+    return [ints[i % len(ints)] for i in range(n)]
+
+
+def moments_table(values, ints, d, tmp):
+    t = filled(values, 1 + d + d * d)
+    record = MomentRecord(list(t[:, 0]), list(t[:, 1:1 + d]),
+                          list(t[:, 1 + d:].reshape(-1, d, d)))
+    bio.write_moments_csv(tmp / "moments.csv", record)
+    pairs = [(k, j) for k in range(d) for j in range(k, d)]
+    return {"moments.csv": [[t, *u, *[E[k, j] for k, j in pairs]]
+                            for t, u, E in zip(record.times, record.u, record.E)]}
+
+
+def clusters_table(values, ints, d, tmp):
+    d2 = d - 1
+    t = filled(values, 1 + d + 3 * d2)
+    f = t[:, 1 + d:].reshape(len(t), 3, d2)
+    bio.write_clusters_csv(tmp / "clusters.csv", ClusterSet(
+        np.zeros(1, int), t[:, 0], t[:, 1:1 + d], f[:, 0], f[:, 1], f[:, 2],
+        np.zeros((1, d2))))
+    return {"clusters.csv": [[cid, *row] for cid, row in enumerate(t.tolist())]}
+
+
+def steady_state_table(values, ints, d, tmp):
+    """len(ints) - 1 rows: an empty body for one int."""
+    n = len(ints) - 1
+    f = np.resize(np.asarray(values, dtype=float), (n, 2))
+    ik = np.array([v % 2**31 for v in cycled(ints, 2 * n)], dtype=np.int64).reshape(n, 2)
+    violations = np.rec.fromarrays([ik[:, 0], ik[:, 1], f[:, 0], f[:, 1]],
+                                   names="i,k,center_distance,min_feature_gap")
+    bio.write_steady_state_csv(tmp / "steady_state.csv",
+                               SteadyStateReport(n == 0, violations))
+    return {"steady_state.csv": violations.tolist()}
+
+
+def sweep_tables(values, ints, d, tmp):
+    t = filled(values, 4).tolist()
+    seeds = cycled(ints, len(t))
+    result = SweepResult(
+        [SweepRow(a, e, run, seed, err, seed % 7) for run, ((a, e, err, _), seed)
+         in enumerate(zip(t, seeds))],
+        [SweepSummary(a, e, err, mean, seed % 2 == 0)
+         for (a, e, err, mean), seed in zip(t, seeds)])
+    bio.write_sweep_csv(tmp / "sweep.csv", result)
+    bio.write_sweep_summary_csv(tmp / "summary.csv", result)
+    return {"sweep.csv": [[r.alpha, r.eps1, r.run, r.seed, r.error, r.n_clusters]
+                          for r in result.rows],
+            "summary.csv": [[s.alpha, s.eps1, s.mean_error, s.mean_clusters, int(s.best)]
+                            for s in result.summary]}
+
+
+def labels_table(values, ints, d, tmp):
+    w, h = len(values) % 7 + 1, d + 1
+    labels = np.array([v % (w * h) for v in cycled(ints, w * h)])
+    image = GrayImage(w, h, np.zeros(w * h))
+    bio.write_labels_csv(tmp / "labels.csv", SegmentationResult(labels, None, image, None))
+    return {"labels.csv": [[i // w, i % w, int(lab)] for i, lab in enumerate(labels)]}
+
+
+def particles_table(values, ints, d, tmp):
+    d2 = d - 1
+    t = filled(values, d + d2)
+    ps = ParticleSet(t[:, :d], t[:, d:] if d2 else None)
+    bio.write_particles_csv(tmp / "particles.csv", ps)
+    return {"particles.csv": [[*ps.positions[i], *ps.features[i]] for i in range(ps.n)]}
+
+
+def cli_centers_tables(values, ints, d, tmp):
+    """cmd_shape's centers_*.csv, one per run, of a sweep result put in
+    place of the sweep."""
+    parts = np.array_split(filled(values, 2), min(d, -(-len(values) // 2)))
+    result = SweepResult([SweepRow(0.1, 0.2, run, seed, 0.0, len(c), centers=c)
+                          for run, (c, seed) in enumerate(zip(parts, cycled(ints, d)))],
+                         [])
+    p = dict(pattern="letterA", pattern_file=None, n=3, alpha_list=[0.1],
+             eps1_list=[0.2], runs=len(parts), noise="uniform", seed=0, M=10,
+             dt=0.5, t_final=1.0, mode="stochastic", merge_tol=None, out_dir=str(tmp))
+    with mock.patch.object(cli, "sweep", return_value=result):
+        cli.cmd_shape(p)
+    return {f"centers_a0.1_e0.2_r{run}.csv": [[*x] for x in c]
+            for run, c in enumerate(parts)}
+
+
+def cli_bench_table(values, ints, d, tmp):
+    """cmd_bench's bench.csv, with the step times put in place of the
+    timings."""
+    grid = [(n, M) for n in ints for M in (3, 10**6)]
+    secs = np.resize(np.asarray(values, dtype=float), len(grid)).tolist()
+    p = dict(n_list=ints, M_list=[3, 10**6], steps=1, eps1=0.15, seed=0,
+             out_dir=str(tmp))
+    with mock.patch.object(cli, "_time_grid", return_value=secs):
+        cli.cmd_bench(p)
+    return {"bench.csv": [[n, M, sec] for (n, M), sec in zip(grid, secs)]}
+
+
+class TestTablesMatchOracle:
+    """Every table writer, the CLI's included, writes the bytes of
+    oracles.csv_table on its rows."""
+
+    @pytest.mark.parametrize("tables", [
+        moments_table, clusters_table, steady_state_table, sweep_tables,
+        labels_table, particles_table, cli_centers_tables, cli_bench_table])
+    @given(values=st.lists(st.one_of(st.sampled_from(EDGE_DOUBLES),
+                                      st.floats(width=64)), min_size=1, max_size=30),
+           ints=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
+                                   st.integers(0, 2**64 - 1)), min_size=1, max_size=6),
+           d=st.integers(1, 3))
+    @example(values=EDGE_DOUBLES, ints=EDGE_SEEDS, d=2)
+    @example(values=EDGE_DOUBLES[::-1], ints=[2**63], d=3)
+    @example(values=[0.5], ints=[2**64 - 1], d=1)
+    @settings(max_examples=40, deadline=None)
+    def test_bytes(self, tables, values, ints, d):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, rows in tables(values, ints, d, Path(tmp)).items():
+                text = (Path(tmp) / name).read_bytes()
+                header = text.split(b"\n", 1)[0].decode().split(",")
+                assert text == csv_table(header, rows), name
+
+
 class TestMomentsCsv:
     def test_round_trip(self, tmp_path, small_run):
         _, _, tr = small_run
@@ -244,8 +372,7 @@ class TestMomentsCsv:
 class TestClustersCsv:
     def test_round_trip(self, tmp_path, small_run):
         ps, spec, tr = small_run
-        final = ps.with_positions(tr.final_positions, 2.0)
-        cs = extract_clusters(final, 0.05, spec)
+        cs = extract_clusters(tr.final, 0.05, spec)
         path = tmp_path / "c.csv"
         bio.write_clusters_csv(path, cs)
         weights, centers, fmeans = bio.read_clusters_csv(path)
@@ -375,6 +502,6 @@ class TestManifest:
     def test_float_precision_survives(self, tmp_path):
         v = 0.1234567890123456789
         path = tmp_path / "f.csv"
-        bio._write_csv(path, ["v"], [[v]])
+        bio._write_rows(path, ["v"], [[bio._float_fields([v])]])
         got = float(path.read_text().splitlines()[1])
         assert got == v

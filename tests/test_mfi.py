@@ -140,7 +140,7 @@ class TestMfiSimulate:
         spec = InteractionSpec(eps1=0.3, sigma_mode="stochastic")
         a = mfi_simulate(ps, spec, MfiConfig(M=5, dt=0.5, t_final=5.0, seed=1))
         b = mfi_simulate(ps, spec, MfiConfig(M=5, dt=0.5, t_final=5.0, seed=2))
-        assert not np.array_equal(a.final_positions, b.final_positions)
+        assert not np.array_equal(a.final.positions, b.final.positions)
 
     def test_collapsed_set_runs_to_t_final(self):
         """No early stop: a state that no longer moves still takes every step."""
@@ -178,6 +178,6 @@ class TestMfiSimulate:
             spec = InteractionSpec(eps1=0.5, sigma_mode="symmetric")
             tr = mfi_simulate(ps, spec,
                               MfiConfig(M=10, dt=0.5, t_final=10.0, seed=seed))
-            drifts.append(abs(float(tr.final_positions.mean()
+            drifts.append(abs(float(tr.final.positions.mean()
                                     - ps.positions.mean())))
         assert np.mean(drifts) <= 5e-3

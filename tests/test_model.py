@@ -66,6 +66,13 @@ class TestInteractionSpec:
         with pytest.raises(ConfigError):
             InteractionSpec(eps1=0.5, eps2=-1)
 
+    @pytest.mark.parametrize("eps1, eps2", [(np.nan, 1.0), (0.5, np.nan)],
+                             ids=["eps1", "eps2"])
+    def test_nan_eps_rejected(self, eps1, eps2):
+        """nan fails the check that eps >= 0, where it passed eps < 0."""
+        with pytest.raises(ConfigError):
+            InteractionSpec(eps1=eps1, eps2=eps2)
+
     def test_bad_norm_rejected(self):
         with pytest.raises(ConfigError):
             InteractionSpec(eps1=0.5, norm1="L7")

@@ -147,6 +147,13 @@ class TestPerturb:
             NoiseSpec(alpha=0.1, dist="poisson")
 
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        """perturb would retry forever: no candidate lies inside."""
+        with pytest.raises(ConfigError, match="finite"):
+            NoiseSpec(alpha=alpha)
+
+
 class TestErrorMeasure:
     def _cluster_set(self, centers):
         ps = ParticleSet(np.asarray(centers, dtype=float))
