@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from . import io as bio
-from .dynamics import (IntegratorConfig, default_merge_tol, extract_clusters,
-                       euler_step, simulate, verify_steady_state)
+from .dynamics import (IntegratorConfig, _check_merge_tol, default_merge_tol,
+                       extract_clusters, euler_step, simulate, verify_steady_state)
 from .imageseg import load_grayscale, segment, threshold, write_image
 from .mfi import MfiConfig, mfi_simulate, mfi_step
 from .model import (NORMS, SIGMA_MODES, ClusteringError, ConfigError,
@@ -130,15 +130,14 @@ def cmd_simulate(p: dict) -> None:
     spec = _spec_from(p)
     ps0 = _initial_particles(p)
     p.update(n=ps0.n, d1=ps0.d1)  # so the manifest gives an --init-file's set
+    merge_tol = (default_merge_tol(ps0, spec) if p["merge_tol"] is None
+                 else _check_merge_tol(p["merge_tol"]))
     if p["method"] == "euler":
         tr = simulate(ps0, spec, IntegratorConfig(p["dt"], p["t_final"],
                                                   p["stop_tol"], p["record_every"]))
     else:
         tr = mfi_simulate(ps0, spec, MfiConfig(p["M"], p["dt"], p["t_final"],
                                                p["seed"], p["record_every"]))
-    merge_tol = p["merge_tol"]
-    if merge_tol is None:
-        merge_tol = default_merge_tol(ps0, spec)
     cs = extract_clusters(tr.final, merge_tol, spec)
     report = verify_steady_state(cs, spec)
     bio.write_trajectory_csv(_out(p, "trajectory.csv"), tr, ps0.features)

@@ -60,9 +60,21 @@ def _check_schedule(cfg) -> None:
         raise ConfigError("record_every must be a positive integer")
 
 
+def _n_steps(cfg) -> int:
+    """The steps of a run under either integrator's config: t_final / dt,
+    rounded, and at least one."""
+    return max(1, int(round(cfg.t_final / cfg.dt)))
+
+
+def _end_state_only(cfg):
+    """A checked config of either integrator, set to record no state between
+    the start and the end of its run."""
+    return replace(cfg, record_every=_n_steps(cfg))
+
+
 @dataclass
 class Trajectory:
-    snapshots: list  # (t, positions copy), strictly increasing times
+    snapshots: list  # (t, read-only positions), strictly increasing times
     moments: MomentRecord
     final: ParticleSet  # the end state, with its features and t
     terminated_early: bool = False
@@ -182,26 +194,25 @@ def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
     below it; with None it always runs to cfg.t_final.
     """
     record = MomentRecord.from_snapshot(ps0)
-    snapshots = [(ps0.t, ps0.positions.copy())]
+    snapshots = [(ps0.t, ps0.positions)]
     ps = ps0
-    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
     terminated = False
     reason = None
-    for k in range(n_steps):
+    for k in range(_n_steps(cfg)):
         nxt = step_fn(ps, k)
         if stop_tol is not None:
             disp = _norm((nxt.positions - ps.positions).T, spec.norm1)
             max_disp = float(disp.max())
         ps = nxt
         if (k + 1) % cfg.record_every == 0:
-            snapshots.append((ps.t, ps.positions.copy()))
+            snapshots.append((ps.t, ps.positions))
             record.append(ps)
         if stop_tol is not None and max_disp < stop_tol:
             terminated = True
             reason = f"max displacement {max_disp:.3e} below stop_tol at t={ps.t:g}"
             break
     if snapshots[-1][0] != ps.t:
-        snapshots.append((ps.t, ps.positions.copy()))
+        snapshots.append((ps.t, ps.positions))
         record.append(ps)
     return Trajectory(snapshots, record, ps, terminated, reason, metadata)
 
@@ -232,6 +243,14 @@ def default_merge_tol(ps: ParticleSet, spec: InteractionSpec) -> float:
     return 1e-3 * diam if diam > 0 else 1e-9
 
 
+def _check_merge_tol(merge_tol: float) -> float:
+    """merge_tol, if it is positive (a nan is not).  Callers check a given
+    tolerance before their run, and extract_clusters checks it again."""
+    if not merge_tol > 0:
+        raise ConfigError(f"merge_tol must be positive, got {merge_tol}")
+    return merge_tol
+
+
 def extract_clusters(ps: ParticleSet, merge_tol: float,
                      spec: InteractionSpec) -> ClusterSet:
     """Connected components of the merge graph, numbered by their lowest
@@ -243,8 +262,7 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
     Callers take merge_tol from default_merge_tol of the initial set, not
     of the collapsed state passed here.
     """
-    if not merge_tol > 0:
-        raise ConfigError(f"merge_tol must be positive, got {merge_tol}")
+    _check_merge_tol(merge_tol)
     labels = components(_gates(ps.positions, ps.features, replace(spec, eps1=merge_tol)),
                         ps.n)
     size = np.bincount(labels)

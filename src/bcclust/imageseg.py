@@ -9,7 +9,8 @@ import numpy as np
 
 from .io import _atomic_open
 from .model import ClusteringError, ConfigError, InteractionSpec, ParticleSet
-from .dynamics import IntegratorConfig, default_merge_tol, extract_clusters, simulate
+from .dynamics import (IntegratorConfig, _check_merge_tol, _end_state_only,
+                       default_merge_tol, extract_clusters, simulate)
 from .mfi import MfiConfig, mfi_simulate
 
 # Largest pixel count handled by the exact integrator by default.  The limit
@@ -164,7 +165,8 @@ def segment(img: GrayImage, spec: InteractionSpec, method: str = "auto",
 
     method 'euler' runs the exact integrator, 'mfi' the subset algorithm;
     'auto' picks euler up to 2^14 pixels.  stop_tol is the exact
-    integrator's early stop; the subset algorithm runs to t_final.
+    integrator's early stop; the subset algorithm runs to t_final.  Every
+    setting is checked before the run, which records only its end state.
     """
     if spec.eps1 <= 0 or spec.eps2 <= 0:
         raise ConfigError("segmentation needs positive eps1 and eps2")
@@ -172,14 +174,14 @@ def segment(img: GrayImage, spec: InteractionSpec, method: str = "auto",
     if method == "auto":
         method = "euler" if ps0.n <= DETERMINISTIC_PIXEL_LIMIT else "mfi"
     if method == "euler":
-        tr = simulate(ps0, spec, IntegratorConfig(dt, t_final, stop_tol))
+        cfg, integrate = IntegratorConfig(dt, t_final, stop_tol), simulate
     elif method == "mfi":
-        tr = mfi_simulate(ps0, spec, MfiConfig(M, dt, t_final, seed))
+        cfg, integrate = MfiConfig(M, dt, t_final, seed), mfi_simulate
     else:
         raise ConfigError(f"unknown method {method!r}")
-    if merge_tol is None:
-        merge_tol = default_merge_tol(ps0, spec)
-    cs = extract_clusters(tr.final, merge_tol, spec)
+    tol = default_merge_tol(ps0, spec) if merge_tol is None else _check_merge_tol(merge_tol)
+    tr = integrate(ps0, spec, _end_state_only(cfg))
+    cs = extract_clusters(tr.final, tol, spec)
     means = cs.feature_mean[:, 0]  # the features are the intensities
     return SegmentationResult(cs.labels, means,
                               GrayImage(img.width, img.height, means[cs.labels]), cs)

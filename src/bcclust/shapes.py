@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfigError, InteractionSpec, ParticleSet, _nearest_distances, _norm
-from .dynamics import default_merge_tol, extract_clusters
+from .dynamics import _check_merge_tol, _end_state_only, default_merge_tol, extract_clusters
 from .mfi import MfiConfig, mfi_simulate
 from .rng import derive_seed
 
@@ -52,14 +52,16 @@ def sample_segments(segments, n: int) -> Pattern:
 
     Every segment receives at least one point; ties in the largest-remainder
     allocation go to earlier segments.  A single point sits at the midpoint,
-    otherwise endpoints are included.
+    otherwise endpoints are included.  An endpoint that is not finite or lies
+    outside [0,1]^2 is a ConfigError.
     """
     segments = tuple((tuple(map(float, a)), tuple(map(float, b))) for a, b in segments)
     if n < len(segments):
         raise ConfigError(f"need at least {len(segments)} points, got {n}")
-    starts = np.array([s[0] for s in segments])
-    ends = np.array([s[1] for s in segments])
-    lengths = _norm((ends - starts).T, "euclidean")
+    ends = np.array(segments).reshape(-1, 4)  # one x0 y0 x1 y1 row per segment
+    if not ((ends >= 0) & (ends <= 1)).all():  # nan fails too
+        raise ConfigError("pattern segment endpoints must be finite and lie in [0,1]^2")
+    lengths = _norm((ends[:, 2:] - ends[:, :2]).T, "euclidean")
     total = lengths.sum()
     if total <= 0:
         raise ConfigError("pattern has zero total length")
@@ -104,48 +106,48 @@ def load_segments(path) -> tuple:
 
 
 def perturb(pat: Pattern, ns: NoiseSpec) -> np.ndarray:
-    """Additive noise x + alpha * theta, resampled until inside [0,1]^2.
+    """Additive noise x + alpha * theta, conditioned on lying in [0,1]^2.
 
-    The pairs theta come from one stream: each point takes the next pair,
-    and a rejected point takes the next one again.  Pairs are drawn in
-    blocks, since one Generator call for 2k values returns the same doubles
-    as k calls for 2.  Each pass accepts, all at once, the run of points
-    whose candidates from the following pairs lie inside; only a rejected
-    point is retried pair by pair.
+    Each point takes its pair theta from one block of n pairs, uniform on
+    [-1,1]^2 or standard normal.  A point whose candidate leaves [0,1]^2 is
+    redrawn once from the law that retrying until a candidate lies inside
+    gives (Devroye 1986, ch. II): uniform on [x-alpha, x+alpha]^2 within
+    [0,1]^2, or per coordinate N(x, alpha^2) truncated to [0,1].
     """
     rng = np.random.default_rng(ns.seed)
-    if ns.dist == "uniform":
-        def draw(k): return rng.uniform(-1.0, 1.0, size=(k, 2))
-    else:
-        def draw(k): return rng.standard_normal((k, 2))
     x, alpha = pat.points, ns.alpha
-    n = len(x)
-    out = np.empty_like(x)
-    theta = draw(n)
-    i = p = 0
-    width = n  # points tried per pass: twice the last accepted run, plus slack
-    while i < n:
-        if p == len(theta):
-            theta, p = draw(n - i), 0
-        m = min(width, n - i, len(theta) - p)
-        cand = x[i:i + m] + alpha * theta[p:p + m]
-        inside = ((cand >= 0.0) & (cand <= 1.0)).all(axis=1)
-        run = m if inside.all() else int(inside.argmin())
-        out[i:i + run] = cand[:run]
-        i, p = i + run, p + run
-        width = 2 * run + 32
-        if run < m:  # point i rejected theta[p]: retry it on the next pairs
-            xi, yi = x[i].tolist()
-            while True:
-                p += 1
-                if p == len(theta):
-                    theta, p = draw(n - i), 0
-                tx, ty = theta[p].tolist()
-                cx, cy = xi + alpha * tx, yi + alpha * ty
-                if 0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0:
-                    break
-            out[i] = cx, cy
-            i, p = i + 1, p + 1
+    uniform = ns.dist == "uniform"
+    theta = rng.uniform(-1.0, 1.0, size=x.shape) if uniform else rng.standard_normal(x.shape)
+    out = x + alpha * theta
+    redraw = ~((out >= 0.0) & (out <= 1.0)).all(axis=1)
+    xr = x[redraw]  # every pattern point lies in [0,1]^2, so both laws exist
+    if uniform:
+        lo, hi = np.maximum(xr - alpha, 0.0), np.minimum(xr + alpha, 1.0)
+        out[redraw] = np.clip(rng.uniform(lo, hi), lo, hi)  # lo + (hi-lo)*u may round past hi
+    else:
+        out[redraw] = _truncated_normal(rng, xr, alpha)
+    return out
+
+
+def _truncated_normal(rng, mean: np.ndarray, sd: float) -> np.ndarray:
+    """N(mean, sd^2) truncated to [0,1] for each entry of mean, all in
+    [0,1], by vectorised rejection an entry at a time (Robert, Stat. Comput.
+    5, 1995): from the normal while [0,1] spans sqrt(2 pi) sd or more, else
+    from U[0,1] kept with probability exp(-((y - mean) / sd)^2 / 2).  Either
+    keeps a draw with probability above 0.49, whatever sd."""
+    out = np.empty_like(mean)
+    todo = np.arange(mean.size)
+    normal = 1.0 / sd >= np.sqrt(2 * np.pi)
+    while todo.size:
+        m = mean.flat[todo]
+        if normal:
+            y = m + sd * rng.standard_normal(m.size)
+            keep = (y >= 0.0) & (y <= 1.0)
+        else:
+            y = rng.uniform(0.0, 1.0, m.size)
+            keep = rng.uniform(0.0, 1.0, m.size) < np.exp(-0.5 * ((y - m) / sd) ** 2)
+        out.flat[todo[keep]] = y[keep]
+        todo = todo[~keep]
     return out
 
 
@@ -201,16 +203,12 @@ def _run_cell(task) -> SweepRow:
     Module-level with picklable arguments, so worker processes can run it
     under any start method.
     """
-    pat, alpha, eps1, run, seed, noise_dist, M, dt, t_final, sigma_mode, merge_tol = task
-    noisy = perturb(pat, NoiseSpec(alpha, noise_dist, derive_seed(seed, 1)))
-    ps0 = ParticleSet(noisy)
-    spec = InteractionSpec(eps1=eps1, sigma_mode=sigma_mode)
-    cfg = MfiConfig(M=M, dt=dt, t_final=t_final, seed=derive_seed(seed, 2))
-    tr = mfi_simulate(ps0, spec, cfg)
+    pat, run, seed, noise, spec, cfg, merge_tol = task
+    ps0 = ParticleSet(perturb(pat, noise))
     tol = default_merge_tol(ps0, spec) if merge_tol is None else merge_tol
-    cs = extract_clusters(tr.final, tol, spec)
-    return SweepRow(alpha, eps1, run, seed, error_measure(cs, pat), cs.n_clusters,
-                    cs.centers)
+    cs = extract_clusters(mfi_simulate(ps0, spec, cfg).final, tol, spec)
+    return SweepRow(noise.alpha, spec.eps1, run, seed, error_measure(cs, pat),
+                    cs.n_clusters, cs.centers)
 
 
 def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
@@ -220,13 +218,15 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
     """Noise/confidence sweep: perturb, integrate, extract, score.
 
     Per-cell seeds derive from (master_seed, alpha index, eps index, run), so
-    identical seeds reproduce identical tables.  The runs are independent and
-    are spread over worker processes, one per CPU available to this process
-    (at most one per run); each worker holds one run at a time, so peak memory
-    is that of one run per worker.  Results are taken in run order, so the
-    output does not depend on how many workers there are.  Workers start
-    from a fresh interpreter that imports the caller's main module, so a
-    script that calls sweep does so under `if __name__ == "__main__":`.
+    identical seeds reproduce identical tables.  Each run's settings are
+    built, and so checked, before any run starts; a run records only its end
+    state.  The runs are spread over worker processes, one per CPU available
+    to this process (at most one per run); each worker holds one run at a
+    time, so peak memory is that of one run per worker.  Results are taken in
+    run order, so the output does not depend on how many workers there are.
+    Workers start from a fresh interpreter that imports the caller's main
+    module, so a script that calls sweep does so under
+    `if __name__ == "__main__":`.
     """
     alphas = list(alphas)
     eps1_list = list(eps1_list)
@@ -234,16 +234,15 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
         raise ConfigError("alphas, eps1_list and runs_per_cell must be nonempty")
     if len(set(alphas)) < len(alphas) or len(set(eps1_list)) < len(eps1_list):
         raise ConfigError("alphas and eps1_list must not repeat a value")
-    for alpha in alphas:  # each cell's settings are checked before any run
-        NoiseSpec(alpha, noise_dist)
-    for eps1 in eps1_list:
-        InteractionSpec(eps1=eps1, sigma_mode=sigma_mode)
-    MfiConfig(M=M, dt=dt, t_final=t_final, seed=master_seed)
-    tasks = [(pat, alpha, eps1, run, derive_seed(master_seed, ai, ei, run),
-              noise_dist, M, dt, t_final, sigma_mode, merge_tol)
-             for ai, alpha in enumerate(alphas)
-             for ei, eps1 in enumerate(eps1_list)
-             for run in range(runs_per_cell)]
+    if merge_tol is not None:
+        _check_merge_tol(merge_tol)
+    specs = [InteractionSpec(eps1=eps1, sigma_mode=sigma_mode) for eps1 in eps1_list]
+    runs = [(alpha, spec, run, derive_seed(master_seed, ai, ei, run))
+            for ai, alpha in enumerate(alphas) for ei, spec in enumerate(specs)
+            for run in range(runs_per_cell)]
+    tasks = [(pat, run, seed, NoiseSpec(alpha, noise_dist, derive_seed(seed, 1)), spec,
+              _end_state_only(MfiConfig(M, dt, t_final, derive_seed(seed, 2))), merge_tol)
+             for alpha, spec, run, seed in runs]
     workers = _worker_count(len(tasks))
     if workers == 1:
         rows = list(map(_run_cell, tasks))

@@ -118,9 +118,10 @@ def dense_drift(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
 
 
 def perturb_loop(pat, ns) -> np.ndarray:
-    """The noise injection of `bcclust.shapes.perturb` a point and a draw at
-    a time: x + alpha * theta with theta drawn afresh until the candidate
-    lies inside [0,1]^2."""
+    """The noise law of `bcclust.shapes.perturb` by plain rejection, a point
+    and a draw at a time: x + alpha * theta with theta drawn afresh until the
+    candidate lies inside [0,1]^2.  Where no point is rejected, perturb draws
+    the same pairs and gives the same bytes."""
     rng = np.random.default_rng(ns.seed)
     out = np.empty_like(pat.points)
     for i, x in enumerate(pat.points):

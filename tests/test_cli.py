@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -124,6 +125,19 @@ class TestSimulateCommand:
         assert sorted(os.listdir(out)) == [
             "clusters.csv", "manifest.txt", "moments.csv", "steady_state.csv",
             "trajectory.csv"]
+
+    def test_euler_run_stops_early_at_a_steady_state(self, tmp_path, capsys):
+        """The exact integrator stops once the largest step displacement is
+        below --stop-tol, long before --t-final, at a state that passes the
+        steady-state check."""
+        out = tmp_path / "out"
+        assert run(["simulate", "--method", "euler", "--n", "200", "--eps1", "0.1",
+                    "--mode", "stochastic", "--t-final", "100",
+                    "--out-dir", str(out)]) == 0
+        assert "steady state PASS" in capsys.readouterr().out
+        t_end = float((out / "moments.csv").read_text().splitlines()[-1].split(",")[0])
+        assert 0 < t_end < 100
+        assert (out / "steady_state.csv").read_text().count("\n") == 1  # header only
 
     def test_symmetric_large_M_finishes(self, tmp_path):
         """M = 150 of n = 1000 in symmetric mode: the draw must not wait for
@@ -316,6 +330,33 @@ class TestShapeCommand:
                     "--eps1-list", "0.2", "--t-final", "2",
                     "--out-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("line", ["0.2 0.2 1.5 0.5", "0.2 nan 0.8 0.8"])
+    def test_pattern_outside_unit_square_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch, line):
+        """An endpoint outside [0,1]^2, or not finite, exits 2 before any run."""
+        from bcclust import shapes
+
+        monkeypatch.setattr(shapes, "perturb",
+                            mock.Mock(side_effect=AssertionError("a run started")))
+        pat = tmp_path / "seg.txt"
+        pat.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run(["shape", "--pattern", "file", "--pattern-file", str(pat),
+                    "--n", "50", "--alpha-list", "0.05", "--eps1-list", "0.2",
+                    "--t-final", "1", "--out-dir", str(out)]) == 2
+        assert "[0,1]^2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["uniform", "gaussian"])
+    def test_large_noise_fraction_finishes(self, tmp_path, noise):
+        """At alpha = 1000 nearly every candidate leaves [0,1]^2, and each
+        such point is redrawn once from its conditional law."""
+        t0 = time.perf_counter()
+        assert run(["shape", "--n", "50", "--alpha-list", "1000", "--eps1-list",
+                    "0.1", "--t-final", "1", "--noise", noise,
+                    "--out-dir", str(tmp_path)]) == 0
+        assert time.perf_counter() - t0 < 5
+
     def test_missing_lists_usage_error(self, tmp_path):
         assert run(["shape", "--out-dir", str(tmp_path)]) == 2
 
@@ -353,6 +394,27 @@ class TestSegmentCommand:
         assert set(binary.intensities) <= {0.0, 1.0}
         assert (out / "labels.csv").exists()
         assert (out / "clusters.csv").exists()
+
+    def test_mfi_splits_quadrants_into_halves(self, tmp_path):
+        """The subset integrator joins the quadrants whose intensities lie
+        within eps2 (left 1.0 and 0.75, right 0.0 and 0.25) into the image's
+        two halves, and a rerun gives the same bytes."""
+        side = 16
+        path = self.make_quadrant(tmp_path, side)
+        argv = ["segment", "--input", str(path), "--eps1", "0.5", "--eps2", "0.3",
+                "--method", "mfi", "--seed", "1"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(argv + ["--out-dir", str(a)]) == 0
+        assert run(argv + ["--out-dir", str(b)]) == 0
+        labels = np.loadtxt(a / "labels.csv", delimiter=",", skiprows=1, dtype=int)
+        grid = labels[:, 2].reshape(side, side)
+        left, right = grid[:, :side // 2], grid[:, side // 2:]
+        assert len(set(left.ravel())) == len(set(right.ravel())) == 1
+        assert left[0, 0] != right[0, 0]
+        seg = load_grayscale(a / "segmented.pgm")
+        assert set(np.round(seg.intensities * 255).astype(int)) == {32, 223}
+        for name in ("segmented.pgm", "labels.csv", "clusters.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_missing_input_runtime_error(self, tmp_path):
         assert run(["segment", "--input", str(tmp_path / "nope.pgm"),
@@ -418,16 +480,20 @@ class TestUsageErrorsWriteNothing:
         ("segment", "--merge-tol", "nan"),
         ("shape", "--alpha-list", "nan"), ("shape", "--alpha-list", "inf"),
         ("shape", "--eps1-list", "nan"), ("shape", "--t-final", "inf"),
+        ("shape", "--merge-tol", "nan"), ("shape", "--merge-tol", "0"),
+        ("shape", "--merge-tol", "-1"),
     ])
     def test_exit_2_and_no_output(self, tmp_path, monkeypatch, capsys,
                                   cmd, flag, value):
         from bcclust import shapes
 
-        # a sweep run in this process fails the test instead of hanging on
-        # a nan noise fraction
+        # every integration, and a sweep run in this process, fails the test:
+        # the error must come before any run starts
         monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
-        monkeypatch.setattr(shapes, "perturb",
-                            mock.Mock(side_effect=AssertionError("a run started")))
+        for name in ("bcclust.cli.simulate", "bcclust.cli.mfi_simulate",
+                     "bcclust.imageseg.simulate", "bcclust.imageseg.mfi_simulate",
+                     "bcclust.shapes.perturb"):
+            monkeypatch.setattr(name, mock.Mock(side_effect=AssertionError("a run started")))
         argv = [cmd, *self.BASE[cmd], flag, value, "--out-dir", str(tmp_path / "out")]
         if cmd == "segment":
             path = tmp_path / "img.pgm"

@@ -1,5 +1,7 @@
 """PGM parsing/writing, pixel mapping, segmentation and thresholding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,25 @@ class TestSegment:
                 img.intensities[members].mean())
             np.testing.assert_allclose(sr.output.intensities[members],
                                        sr.cluster_intensity[cid])
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        """Only the end state is recorded.  With eps1 above the diameter and
+        dt = 1, each half of the quadrant image collapses onto its mean in
+        one step, so a run to t = 50 ends where one to t = 5 does; stop_tol
+        = 0 runs every step.  A snapshot per step would add 45 of 16 KiB."""
+        img = self.quadrant(32)
+        spec = InteractionSpec(eps1=2.0, eps2=0.3, sigma_mode="stochastic")
+
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                segment(img, spec, method="euler", dt=1.0, t_final=t_final, stop_tol=0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5.0)  # first-call allocations
+        assert peak(50.0) <= peak(5.0) + 16 * 2**10
 
     def test_bad_method(self):
         with pytest.raises(ConfigError):

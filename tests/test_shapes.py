@@ -75,6 +75,13 @@ class TestSampleSegments:
         with pytest.raises(ConfigError):
             sample_segments((((0.5, 0.5), (0.5, 0.5)),), 10)
 
+    @pytest.mark.parametrize("end", [(1.5, 0.5), (0.5, -0.1), (np.nan, 0.5),
+                                     (0.5, np.inf)], ids=["x>1", "y<0", "nan", "inf"])
+    def test_endpoint_outside_unit_square_rejected(self, end):
+        """The noise law is defined only for points in [0,1]^2."""
+        with pytest.raises(ConfigError, match=r"\[0,1\]\^2"):
+            sample_segments((((0.2, 0.2), end),), 10)
+
 
 class TestLoadSegments:
     def test_round_trip(self, tmp_path):
@@ -114,17 +121,35 @@ class TestPerturb:
         b = perturb(pat, NoiseSpec(0.05, "gaussian", seed=9))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.6])
-    @pytest.mark.parametrize("dist", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    @pytest.mark.parametrize("dist", ["uniform"])
     def test_matches_point_loop(self, alpha, dist):
-        """Block draws hand out the same pairs in the same order as drawing
-        one pair per attempt; at alpha=0.6 rejections are common."""
-        pats = (generate_letter_A(2000), generate_letter_A(5),
-                sample_segments((((0.0, 0.0), (1.0, 1.0)),), 300))
-        for pat in pats:
+        """Where no candidate is rejected, as for uniform noise of amplitude
+        0.1 or less on the letter A, each point keeps its first pair: the
+        output equals the point loop's byte for byte."""
+        for pat in (generate_letter_A(5000), generate_letter_A(5)):
             for seed in (0, 1, 17, 2**40 + 3):
                 ns = NoiseSpec(alpha, dist, seed)
                 np.testing.assert_array_equal(perturb(pat, ns), perturb_loop(pat, ns))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1000.0])
+    @pytest.mark.parametrize("dist", ["uniform", "gaussian"])
+    def test_conditional_law(self, alpha, dist):
+        """A corner point's perturbed copies follow the law of an accepted
+        candidate in each coordinate (KS test): uniform on its box within
+        [0,1], or the normal N(x, alpha^2) truncated to [0,1].  Most of
+        them are redrawn at alpha = 0.3 and nearly all at alpha = 1000."""
+        stats = pytest.importorskip("scipy.stats")
+        corner = np.array([0.0, 1.0])
+        pts = perturb(Pattern((), np.tile(corner, (4000, 1))), NoiseSpec(alpha, dist, 11))
+        assert np.all(pts >= 0) and np.all(pts <= 1)
+        for x, y in zip(corner, pts.T):
+            if dist == "uniform":
+                lo, hi = max(x - alpha, 0.0), min(x + alpha, 1.0)
+                law = stats.uniform(lo, hi - lo)
+            else:
+                law = stats.truncnorm(-x / alpha, (1 - x) / alpha, loc=x, scale=alpha)
+            assert stats.kstest(y, law.cdf).pvalue > 1e-3
 
     def test_no_slower_than_point_loop_when_rejecting(self):
         pat = generate_letter_A(5000)
@@ -255,6 +280,25 @@ class TestSweep:
         assert one.rows == two.rows
         for a, b in zip(one.rows, two.rows):
             np.testing.assert_array_equal(a.centers, b.centers)
+
+    @pytest.mark.parametrize("merge_tol", [np.nan, 0.0, -1.0])
+    def test_merge_tol_checked_before_any_run(self, monkeypatch, merge_tol):
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(shapes, "perturb", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match="merge_tol"):
+            sweep(generate_letter_A(20), [0.05], [0.1], 1, merge_tol=merge_tol)
+
+    def test_runs_record_only_the_end_state(self, monkeypatch):
+        """A run keeps its start and its end state, nothing between."""
+        times, mfi_simulate = [], shapes.mfi_simulate
+        def integrate(ps0, spec, cfg):
+            tr = mfi_simulate(ps0, spec, cfg)
+            times.append([t for t, _ in tr.snapshots])
+            return tr
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(shapes, "mfi_simulate", integrate)
+        sweep(generate_letter_A(30), [0.05], [0.1, 0.2], 1, t_final=3.0)
+        assert times == [[0.0, 3.0], [0.0, 3.0]]
 
     def test_config_error_in_a_worker(self, monkeypatch):
         """M >= n fails inside a run; the pool re-raises it as ConfigError."""
