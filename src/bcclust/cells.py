@@ -1,5 +1,6 @@
 """Cell lists: candidate pools that hold every gated neighborhood in a few index
-ranges, and the exact component finder of a gate.
+ranges, the exact component finder of a gate, and the check that a gate is
+frozen, with the one-range pool of its components.
 
 The gated coordinates are those of the groups that model._gates keeps: the
 features (cell side eps2) and the positions (cell side eps1), each only when
@@ -22,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from . import model
-from .model import InteractionSpec, ParticleSet, _gate, _gates, _row_tiles, _within
+from .model import InteractionSpec, ParticleSet, _gate, _gates, _norm, _row_tiles, _within
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,89 @@ def _line_pool(groups, last, eps, norm, stable) -> CandidatePool:
     rank = np.empty(srt.size, dtype=np.int64)
     rank[order] = np.arange(srt.size)
     return CandidatePool(groups, order, lo[rank, None], hi[rank, None], rank, 0, True)
+
+
+def component_pool(labels: np.ndarray) -> CandidatePool:
+    """The exact pool of a frozen gate (see gate_frozen), whose neighborhoods
+    are its components: one range per particle, its component's members in
+    label order."""
+    order, starts = _label_runs(labels)
+    size = np.diff(starts, append=order.size)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    lo = np.repeat(starts, size)[rank, None]
+    hi = np.repeat(starts + size, size)[rank, None]
+    return CandidatePool([], order, lo, hi, rank, 0, True)
+
+
+def gate_frozen(groups, labels: np.ndarray) -> bool:
+    """Whether labels splits the particles into cliques of the gate of
+    groups that no step can join or split, checked on bounding boxes:
+
+    (a) in every group, each part's bounding box lies within the group's
+        eps, so every member pair passes the gate;
+    (b) every two parts are more than eps apart by the gap of their boxes
+        in some group, so every cross pair fails it.
+
+    Then the parts are the gate's components and N_i is i's part.  A step
+    moves each particle to a convex combination of its part, which shrinks
+    position boxes and widens their gaps, and features never move, so the
+    gate stays frozen.  Box gaps lower-bound member gaps under the same
+    _norm, so a gap of exactly eps does not separate.
+
+    (b) sweeps the parts in order of the low end of their boxes in the last
+    group's first coordinate (sweep and prune: Cohen et al., I-COLLIDE, SI3D
+    1995).  Only parts whose low ends lie within reach of a part's high end
+    can fail to be apart from it; the reach is wide enough that a gap beyond
+    it passes the gate in no norm, its square a normal double.  Those pairs
+    are tested in batches of about model._TILE_PAIRS, up to the first that
+    no group separates.
+    """
+    order, starts = _label_runs(labels)
+    boxes = [(*_boxes(p, order, starts), eps, norm) for p, eps, norm in groups]
+    if not all((_norm((hi - lo).T, norm) <= eps).all() for lo, hi, eps, norm in boxes):
+        return False
+    m = starts.size
+    if not boxes:
+        return m == 1
+    lo0, hi0, eps0, _ = boxes[-1]
+    by = np.argsort(lo0[:, 0], kind="stable")
+    low, high = lo0[by, 0], hi0[by, 0]
+    reach = (max(eps0, 2.0**-500) * (1 + 2.0**-40)
+             + 2.0**-40 * float(np.abs(high).max()))
+    cnt = np.searchsorted(low, high + reach, side="right") - np.arange(m) - 1
+    tot = np.cumsum(cnt)
+    a = 0
+    while a < m:
+        done = tot[a] - cnt[a]
+        b = max(a + 1, int(np.searchsorted(tot, done + model._TILE_PAIRS, side="right")))
+        c = cnt[a:b]
+        k = np.repeat(np.arange(a, b), c)
+        i, j = by[k], by[k + 1 + np.arange(k.size) - np.repeat(tot[a:b] - c - done, c)]
+        apart = np.zeros(k.size, dtype=bool)
+        for lo, hi, eps, norm in boxes:
+            gaps = (np.maximum(0.0, np.maximum(lo[j, d] - hi[i, d], lo[i, d] - hi[j, d]))
+                    for d in range(lo.shape[1]))
+            apart |= _norm(gaps, norm) > eps
+        if not apart.all():
+            return False
+        a = b
+    return True
+
+
+def _label_runs(labels):
+    """The particles sorted by label, ties in index order, and where each
+    label's run of that order starts."""
+    order = np.argsort(labels, kind="stable")
+    srt = labels[order]
+    return order, np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+
+
+def _boxes(points, order, starts):
+    """Lowest and highest coordinates, (m, d) each, of each run of points
+    in order that starts at starts."""
+    srt = points[order]
+    return np.minimum.reduceat(srt, starts), np.maximum.reduceat(srt, starts)
 
 
 def components(groups, n: int) -> np.ndarray:

@@ -4,10 +4,14 @@ Every draw is a pure function of (seed, step, particle, slot), so sampled
 subsets do not depend on evaluation order or worker count.  The generator is a
 splitmix64-style chain of multiply/xor finalizers over 64-bit counters.
 Subsets are drawn from a candidate pool (see bcclust.cells): the particle's
-own gated neighborhood, or every other particle when the pool gates nothing.
-Keyed draws with repeats skipped serve large pools and a keyed priority scan
-small ones, so a draw is a pure function of (seed, step, particle) given the
-step's state.
+own gated neighborhood, every other particle when the pool gates nothing, or
+the particle's component once a stochastic run's gate is frozen
+(bcclust.mfi).  Keyed draws with repeats skipped serve large pools and a keyed
+priority scan small ones, so a draw is a pure function of (seed, step,
+particle) given the step's pool.  A frozen run's component pool orders the
+candidates unlike the cell pool, so a run's draws depend on the step at which
+its freeze was first seen; their law does not, and a run stays a pure
+function of (seed, inputs).
 """
 
 from __future__ import annotations
@@ -104,35 +108,39 @@ class RngStream:
 
     seed: int
 
-    def subsets(self, step: int, M: int, pool) -> np.ndarray:
+    def subsets(self, step: int, M: int, pool, rows=None) -> np.ndarray:
         """Sampled index rows from a CandidatePool, shape (n, M), one row per
-        particle.
+        particle, or one per particle of rows, a nonempty index array, when
+        given.
 
         Each row is an M-subset of N_i \\ {i} drawn uniformly without
         repetition, a pure function of (seed, step, i) given the pool's step
         state, or all of N_i \\ {i} followed by -1 padding when that holds M
-        or fewer.  The pool of a spec that gates nothing holds every
+        or fewer.  So particle i's row does not depend on which other rows
+        are drawn.  The pool of a spec that gates nothing holds every
         particle, so its rows are M-subsets of {0..n-1} \\ {i}.
         """
         n = len(pool.order)
         if not 1 <= M <= n - 1:
             raise ConfigError(f"subset size M={M} is below 1 or exceeds the "
                               f"{n - 1} other particles")
-        keys = _particle_keys(self.seed, step, np.arange(n))
-        rows = max(1, _BLOCK // M)
-        parts = [self._from_pool(keys[a:a + rows], M, pool, slice(a, a + rows))
-                 for a in range(0, n, rows)]
+        particles = np.arange(n) if rows is None else rows
+        keys = _particle_keys(self.seed, step, particles)
+        per = max(1, _BLOCK // M)
+        # slices of a whole draw index the pool's arrays without a copy
+        parts = [self._from_pool(keys[a:a + per], M, pool, particles[a:a + per],
+                                 slice(a, a + per) if rows is None else particles[a:a + per])
+                 for a in range(0, particles.size, per)]
         return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
 
-    def _from_pool(self, keys, M, pool, sel):
+    def _from_pool(self, keys, M, pool, particles, sel):
         # A row's candidates are its pool less i, numbered 0..size-1 in pool
         # order.  Keyed draws with replacement, with repeats skipped, visit
         # them in uniformly random order; the first M that pass the gate are
         # a uniform M-subset of N_i \ {i}.  Round a draws the next M * 2**a
         # slots, for the rows still short of M.
         # Arrays are laid out (slot, row): each slot is one contiguous vector.
-        # sel is the slice of particles drawn for.
-        particles = np.arange(*sel.indices(len(pool.order)))
+        # sel indexes the particles drawn for in the pool's arrays.
         lo, hi = pool.lo[sel], pool.hi[sel]
         lens = hi - lo
         end = np.cumsum(lens, axis=1)

@@ -118,7 +118,10 @@ def perturb(pat: Pattern, ns: NoiseSpec) -> np.ndarray:
     x, alpha = pat.points, ns.alpha
     uniform = ns.dist == "uniform"
     theta = rng.uniform(-1.0, 1.0, size=x.shape) if uniform else rng.standard_normal(x.shape)
-    out = x + alpha * theta
+    # With alpha near the largest double a candidate can overflow to +-inf.
+    # It then leaves [0,1]^2 and is redrawn below, so the overflow is no fault.
+    with np.errstate(over="ignore"):
+        out = x + alpha * theta
     redraw = ~((out >= 0.0) & (out <= 1.0)).all(axis=1)
     xr = x[redraw]  # every pattern point lies in [0,1]^2, so both laws exist
     if uniform:

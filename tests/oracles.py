@@ -1,6 +1,6 @@
 """Brute-force reference implementations of the interaction gate, of the
-cluster columns and steady-state check, of the shape noise injection and of
-the CSV tables.
+frozen-gate check, of the cluster columns and steady-state check, of the
+shape noise injection and of the CSV tables.
 
 Each answers one question a particle at a time or over the whole (n, n)
 matrix, the way the model is written down, so tests can compare the
@@ -10,6 +10,7 @@ package's blocked, cell-list and block-drawn code against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from bcclust.model import (
     ParticleSet,
     _norm,
     _within,
+    bbox_diameter,
+    distance,
     distances_to,
 )
 
@@ -57,6 +60,26 @@ def neighborhood(ps: ParticleSet, i: int, spec: InteractionSpec) -> Neighborhood
     if ps.d2 > 0:
         ok &= distances_to(ps.features, ps.features[i], spec.norm2) <= spec.eps2
     return NeighborhoodResult(np.nonzero(ok)[0])
+
+
+def frozen_by_boxes(groups, labels: np.ndarray) -> bool:
+    """The frozen-gate check on the parts of a labelling, a part and a pair
+    at a time: in every (points, eps, norm) group each part's bounding box
+    lies within eps, and every two parts have a bounding-box gap over eps in
+    some group."""
+    parts = [np.flatnonzero(labels == v) for v in np.unique(labels)]
+    for points, eps, norm in groups:
+        for idx in parts:
+            if not bbox_diameter(points[idx], norm) <= eps:
+                return False
+    for a, b in combinations(parts, 2):
+        gaps = [np.maximum(0.0, np.maximum(p[b].min(axis=0) - p[a].max(axis=0),
+                                           p[a].min(axis=0) - p[b].max(axis=0)))
+                for p, _, _ in groups]
+        if not any(distance(g, np.zeros_like(g), norm) > eps
+                   for g, (_, eps, norm) in zip(gaps, groups)):
+            return False
+    return True
 
 
 def adjacency_weight(ps: ParticleSet, i: int, j: int, spec: InteractionSpec) -> float:

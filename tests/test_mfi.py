@@ -1,4 +1,5 @@
-"""Random-subset integrator: determinism, convexity, oracle equivalence."""
+"""Random-subset integrator: determinism, convexity, oracle equivalence, and
+the frozen gate of stochastic runs."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from bcclust.model import ConfigError, InteractionSpec, ParticleSet
 from bcclust.dynamics import euler_step
 from bcclust.mfi import MfiConfig, mfi_simulate, mfi_step
 from bcclust.rng import RngStream
+from bcclust.shapes import NoiseSpec, generate_letter_A, perturb
+from oracles import neighborhood
+
+from test_rng import blobs
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
 
@@ -181,3 +186,156 @@ class TestMfiSimulate:
             drifts.append(abs(float(tr.final.positions.mean()
                                     - ps.positions.mean())))
         assert np.mean(drifts) <= 5e-3
+
+
+def certified(ps, spec, cfg, k=0):
+    """A frozen gate certified by one step of ps, and that step."""
+    frozen = mfi._FrozenGate(spec)
+    nxt = mfi_step(ps, spec, cfg, k, frozen)
+    assert frozen.since == ps.t
+    return frozen, nxt
+
+
+class TestFrozenGate:
+    spec = InteractionSpec(eps1=0.1, sigma_mode="stochastic")
+    cfg = MfiConfig(M=5, dt=0.5, t_final=5.0, seed=21)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_frozen_draws_stay_in_neighborhoods(self, data):
+        """Particles on a coarse grid, some on one point, with maybe a
+        feature: whenever a run's gate is frozen, each row holds min(M,
+        |N_i| - 1) distinct partners of N_i, the brute-force one."""
+        n = data.draw(st.integers(2, 30))
+        d1 = data.draw(st.integers(1, 2))
+        grid = st.integers(0, 4).map(lambda v: v / 4)
+        x = np.array(data.draw(st.lists(grid, min_size=n * d1, max_size=n * d1)))
+        x = x + np.array(data.draw(st.lists(st.sampled_from([0.0, 1 / 64]),
+                                            min_size=n * d1, max_size=n * d1)))
+        feat = None
+        if data.draw(st.booleans()):
+            feat = np.array(data.draw(st.lists(grid, min_size=n, max_size=n)))
+        ps = ParticleSet(x.reshape(n, d1), feat)
+        spec = InteractionSpec(eps1=data.draw(st.sampled_from([0.05, 0.2, 0.3])), eps2=0.3,
+                               norm1=data.draw(st.sampled_from(["euclidean", "max"])),
+                               sigma_mode="stochastic")
+        cfg = MfiConfig(M=data.draw(st.integers(1, n - 1)), dt=0.5, t_final=5.0,
+                        seed=data.draw(st.integers(0, 2**32)))
+        frozen = mfi._FrozenGate(spec)
+        for k in range(6):
+            sub = frozen.partners(ps, cfg, k)
+            if sub is not None:
+                for i in range(n):
+                    nb = set(neighborhood(ps, i, spec).indices.tolist()) - {i}
+                    picked = sub[:, i][sub[:, i] >= 0].tolist()
+                    assert len(set(picked)) == len(picked) == min(cfg.M, len(nb))
+                    assert set(picked) <= nb
+            ps = mfi_step(ps, spec, cfg, k, frozen)
+
+    def test_frozen_partners_lie_in_the_neighborhood(self):
+        """Every partner drawn on a frozen state is in N_i, and each row
+        holds min(M, |N_i| - 1) distinct partners."""
+        ps, _ = blobs([40, 6, 1, 25])
+        frozen, ps = certified(ps, self.spec, self.cfg)
+        for k in range(1, 6):
+            sub = frozen.partners(ps, self.cfg, k)
+            assert sub is not None
+            for i in range(ps.n):
+                nb = set(neighborhood(ps, i, self.spec).indices.tolist()) - {i}
+                picked = sub[:, i][sub[:, i] >= 0].tolist()
+                assert len(set(picked)) == len(picked) == min(self.cfg.M, len(nb))
+                assert set(picked) <= nb
+            ps = mfi_step(ps, self.spec, self.cfg, k, frozen)
+
+    def test_collapsed_step_takes_no_draw_and_keeps_the_bits(self, monkeypatch):
+        """Components on one point each, of fewer, exactly and more than
+        M + 1 members: the frozen step draws nothing and equals the step
+        drawn from the cell pool bit for bit."""
+        sizes = [30, 6, 1, 3, 12]
+        centers = np.array([[0.1, 0.7], [0.3, 0.3], [0.7, 0.1], [0.9, 0.9], [1 / 3, 0.9]])
+        ps = ParticleSet(np.repeat(centers, sizes, axis=0))
+        frozen, _ = certified(ps, self.spec, self.cfg)
+        draws, draw = [], RngStream.subsets
+        monkeypatch.setattr(RngStream, "subsets",
+                            lambda *args: draws.append(args) or draw(*args))
+        for k in range(1, 4):
+            via_frozen = mfi_step(ps, self.spec, self.cfg, k, frozen)
+            assert not draws
+            np.testing.assert_array_equal(via_frozen.positions,
+                                          mfi_step(ps, self.spec, self.cfg, k).positions)
+            draws.clear()
+            ps = via_frozen
+
+    def test_collapsed_rows_beside_drawn_rows(self):
+        """One component still spread: its rows are drawn, and the
+        collapsed ones keep the bits of a drawn step."""
+        x = np.vstack([np.full((12, 2), 0.1), blobs([20])[0].positions + 0.5])
+        ps = ParticleSet(x)
+        frozen, _ = certified(ps, self.spec, self.cfg)
+        via_frozen = mfi_step(ps, self.spec, self.cfg, 3, frozen)
+        drawn = mfi_step(ps, self.spec, self.cfg, 3)
+        np.testing.assert_array_equal(via_frozen.positions[:12], drawn.positions[:12])
+        assert not np.array_equal(via_frozen.positions[12:], ps.positions[12:])
+
+    def test_thaws_when_components_meet(self):
+        ps, labels = blobs([10, 10])
+        frozen, _ = certified(ps, self.spec, self.cfg)
+        x = ps.positions.copy()
+        x[labels == 1] -= 0.26  # box gap 0.04 - 0.05 < eps1 in every coordinate
+        assert frozen.collapsed(ps.with_positions(x, 1.0)) is None
+        assert frozen.since is None
+        assert frozen.partners(ps, self.cfg, 2) is None
+
+    def test_grown_box_still_apart_is_checked_again(self):
+        """A box that grows, as rounding can make one, stays frozen while
+        the full check passes, and its new box becomes the reference."""
+        ps, labels = blobs([10, 10])
+        frozen, _ = certified(ps, self.spec, self.cfg)
+        x = ps.positions.copy()
+        x[0] = x[labels == 0].min(axis=0) - 1e-3
+        assert frozen.collapsed(ps.with_positions(x, 1.0)) is not None
+        assert frozen.since == 0.0
+        np.testing.assert_array_equal(frozen.lo[0], x[0])
+
+    def test_symmetric_and_exact_pool_runs_never_freeze(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("the gate was checked for a freeze")
+        monkeypatch.setattr(mfi, "gate_frozen", no_check)
+        ps2, _ = blobs([30, 20])
+        ps1, _ = blobs([30, 20], d=1)
+        sym = InteractionSpec(eps1=0.1, sigma_mode="symmetric")
+        for ps, spec in ((ps2, sym), (ps1, sym), (ps1, self.spec)):
+            tr = mfi_simulate(ps, spec, self.cfg)
+            assert tr.metadata["frozen_t"] is None
+        monkeypatch.undo()
+        assert mfi_simulate(ps2, self.spec, self.cfg).metadata["frozen_t"] == 0.0
+
+    def test_run_matches_direct_steps_until_the_freeze(self):
+        """Up to the step that certifies the freeze, a run's steps are
+        those of direct mfi_step calls; after it, the draws come from the
+        components."""
+        rng = np.random.default_rng(2)
+        ps = ParticleSet(np.vstack([rng.uniform(0, 0.15, (150, 2)),
+                                    rng.uniform(0.6, 0.75, (150, 2))]))
+        cfg = MfiConfig(M=5, dt=0.5, t_final=10.0, seed=4)
+        tr = mfi_simulate(ps, self.spec, cfg)
+        since = tr.metadata["frozen_t"]
+        assert since is not None and 0 < since < cfg.t_final
+        for k, (t, x) in enumerate(tr.snapshots[:round(since / cfg.dt) + 2]):
+            np.testing.assert_array_equal(x, ps.positions)
+            ps = mfi_step(ps, self.spec, cfg, k)
+
+
+class TestFrozenTime:
+    def test_letter_a_run_freezes(self):
+        pat = generate_letter_A(2000)
+        ps = ParticleSet(perturb(pat, NoiseSpec(0.1, "uniform", 3)))
+        spec = InteractionSpec(eps1=0.08, sigma_mode="stochastic")
+        tr = mfi_simulate(ps, spec, MfiConfig(M=10, dt=0.5, t_final=50.0, seed=5))
+        assert 0.0 < tr.metadata["frozen_t"] < 50.0
+
+    def test_1d_run_has_no_freeze_time(self):
+        ps = ParticleSet(np.random.default_rng(1).uniform(0, 1, (500, 1)))
+        spec = InteractionSpec(eps1=0.15, sigma_mode="stochastic")
+        tr = mfi_simulate(ps, spec, MfiConfig(M=10, dt=0.5, t_final=20.0, seed=5))
+        assert tr.metadata["frozen_t"] is None

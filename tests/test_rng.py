@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from bcclust.cells import candidate_pool
+from bcclust.cells import candidate_pool, component_pool
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet, bbox_diameter
 from oracles import neighborhood
 from bcclust import rng as rng_module
@@ -233,6 +233,38 @@ class TestNeighborhoodSubsets:
         pool = candidate_pool(ps, spec)
         assert pool.exact and pool.lo.shape[1] == 1
         assert_flat(ps, spec, pool)
+
+
+def blobs(sizes, d=2, seed=0):
+    """Groups of particles in boxes 0.05 wide, 0.3 apart along the
+    diagonal, and their labels: a frozen gate at eps1 = 0.1 in every norm."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    x = 0.3 * labels[:, None] + rng.uniform(0, 0.05, (labels.size, d))
+    return ParticleSet(x), labels
+
+
+class TestComponentPool:
+    def test_component_pool_is_flat(self):
+        """The pool of a frozen gate, one range per particle, is drawn from
+        uniformly, each row over its own component."""
+        ps, labels = blobs([60, 45, 30])
+        spec = InteractionSpec(eps1=0.1, sigma_mode="stochastic")
+        assert_flat(ps, spec, component_pool(labels))
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 18])
+    def test_rows_drawn_alone_equal_the_full_draw(self, monkeypatch, block):
+        """A draw for some particles only gives them the rows of the full
+        draw, from a cell pool or a component pool, in any block size."""
+        ps, labels = blobs([60, 3, 30, 1])
+        spec = InteractionSpec(eps1=0.1, sigma_mode="stochastic")
+        s = RngStream(5)
+        rows = np.array([0, 2, 59, 60, 62, 63, 90, 93])
+        for pool in (candidate_pool(ps, spec), component_pool(labels)):
+            whole = s.subsets(4, 6, pool)
+            monkeypatch.setattr(rng_module, "_BLOCK", block)
+            np.testing.assert_array_equal(s.subsets(4, 6, pool, rows), whole[rows])
+            monkeypatch.undo()
 
 
 def assert_flat(ps, spec, pool, M=4, steps=400):

@@ -3,6 +3,7 @@
 import os
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -150,6 +151,15 @@ class TestPerturb:
             else:
                 law = stats.truncnorm(-x / alpha, (1 - x) / alpha, loc=x, scale=alpha)
             assert stats.kstest(y, law.cdf).pvalue > 1e-3
+
+    def test_huge_gaussian_alpha_warns_nothing(self):
+        """A normal candidate overflows to +-inf near the largest double; it
+        is redrawn, so it raises no floating-point warning."""
+        pat = Pattern((), np.tile([0.0, 1.0], (4000, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = perturb(pat, NoiseSpec(1.7e308, "gaussian", 5))
+        assert np.all(pts >= 0) and np.all(pts <= 1)
 
     def test_no_slower_than_point_loop_when_rejecting(self):
         pat = generate_letter_A(5000)
