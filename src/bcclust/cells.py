@@ -23,7 +23,8 @@ from itertools import product
 import numpy as np
 
 from . import model
-from .model import InteractionSpec, ParticleSet, _gate, _gates, _norm, _row_tiles, _within
+from .model import (InteractionSpec, ParticleSet, _bound, _gate, _gates, _power_sum,
+                    _row_tiles, _within)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,8 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
     moves each particle to a convex combination of its part, which shrinks
     position boxes and widens their gaps, and features never move, so the
     gate stays frozen.  Box gaps lower-bound member gaps under the same
-    _norm, so a gap of exactly eps does not separate.
+    _power_sum, compared with model._bound as the gate compares its pairs,
+    so a gap of exactly eps does not separate.
 
     (b) sweeps the parts in order of the low end of their boxes in the last
     group's first coordinate (sweep and prune: Cohen et al., I-COLLIDE, SI3D
@@ -184,7 +186,8 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
     """
     order, starts = _label_runs(labels)
     boxes = [(*_boxes(p, order, starts), eps, norm) for p, eps, norm in groups]
-    if not all((_norm((hi - lo).T, norm) <= eps).all() for lo, hi, eps, norm in boxes):
+    if not all((_power_sum((hi - lo).T, norm) <= _bound(eps, norm)).all()
+               for lo, hi, eps, norm in boxes):
         return False
     m = starts.size
     if not boxes:
@@ -207,7 +210,7 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
         for lo, hi, eps, norm in boxes:
             gaps = (np.maximum(0.0, np.maximum(lo[j, d] - hi[i, d], lo[i, d] - hi[j, d]))
                     for d in range(lo.shape[1]))
-            apart |= _norm(gaps, norm) > eps
+            apart |= _power_sum(gaps, norm) > _bound(eps, norm)
         if not apart.all():
             return False
         a = b

@@ -16,12 +16,13 @@ from .model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
-    _gate,
+    _bound,
     _gates,
     _nearest_distances,
     _norm,
-    _row_tiles,
-    _within,
+    _power_sum,
+    _root,
+    _upper_tiles,
     bbox_diameter,
 )
 from .moments import MomentRecord
@@ -134,16 +135,31 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
 
 def _dense_drift(xc: np.ndarray, gates: list, spec: InteractionSpec, n: int) -> np.ndarray:
     """Drift of one block of an n-particle set, its positions xc and its
-    groups from model._gates, gated by model._gate in row tiles of
-    model._TILE_PAIRS pairs."""
-    vc = np.empty_like(xc)
-    idx = np.arange(xc.shape[0])
-    for rows in _row_tiles(xc.shape[0], xc.shape[0]):
-        gate = _gate(gates, idx[rows, None], idx[None, :])
-        deg = gate.sum(axis=1)
-        sigma = float(n) if spec.sigma_mode == "symmetric" else deg[:, None]
-        vc[rows] = (gate.astype(float) @ xc - deg[:, None] * xc[rows]) / sigma
-    return vc
+    groups from model._gates.
+
+    The gate is symmetric, so model._upper_tiles gates each of the block's
+    m(m+1)/2 unordered pairs once.  A tile's float gate g over rows r0:r1
+    and columns r0:m, its leading block made symmetric, gives its own rows'
+    gated sums (g @ xc[r0:]) and adds its rows to the sums of the columns
+    beyond (g[:, b:].T @ xc[r0:r1]); the degrees are its row and column
+    sums, exact in floats."""
+    m = xc.shape[0]
+    acc = np.zeros_like(xc)
+    deg = np.zeros(m)
+    for r0, t in _upper_tiles(gates, m):
+        b = t.shape[0]
+        r1 = r0 + b
+        lead = t[:, :b]
+        np.logical_or(lead, lead.T, out=lead)
+        g = t.astype(float)
+        acc[r0:r1] += g @ xc[r0:]
+        deg[r0:r1] += g.sum(axis=1)
+        if r1 < m:
+            beyond = g[:, b:]
+            acc[r1:] += beyond.T @ xc[r0:r1]
+            deg[r1:] += beyond.sum(axis=0)
+    sigma = float(n) if spec.sigma_mode == "symmetric" else deg[:, None]
+    return (acc - deg[:, None] * xc) / sigma
 
 
 def _drift(ps: ParticleSet, spec: InteractionSpec,
@@ -155,7 +171,8 @@ def _drift(ps: ParticleSet, spec: InteractionSpec,
     callers stepping in a loop find them once.  A block in which model._gates
     finds no group interacts pair by pair, and its velocity collapses to
     (mean_C - x), times |C|/n in symmetric mode: O(|C|).  Any other block is
-    gated densely by those groups, O(|C|^2) time, in row tiles.
+    gated densely by those groups, each of its |C|(|C|+1)/2 unordered pairs
+    once, in tiles of the upper triangle (see _dense_drift): O(|C|^2) time.
     """
     x = ps.positions
     if blocks is None:
@@ -221,9 +238,10 @@ def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig) -> 
     """Iterate euler_step to t_final (or early stop), recording snapshots and moments.
 
     The static-feature blocks (see _feature_blocks) are found once, before
-    the first step, and nothing else is kept for the run.  A step then costs
-    O(|C|^2) time in row tiles for each block C that has not collapsed within
-    eps1 and O(|C|) for each one that has.
+    the first step, and nothing else is kept for the run.  A step then gates
+    the |C|(|C|+1)/2 unordered pairs of each block C that has not collapsed
+    within eps1, in tiles of the upper triangle, and costs O(|C|) for each
+    one that has.
     """
     meta = {"method": "euler", "dt": cfg.dt, "t_final": cfg.t_final,
             "sigma_mode": spec.sigma_mode}
@@ -295,26 +313,24 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     violation array characterizes a stationary sum of Dirac concentrations.
     Violations come in row-major order of the pairs (i, k), i < k.
 
-    Center pairs are gated by model._within in row tiles of the upper
-    triangle, so memory grows with the pairs within eps1, not with m^2.
+    Center pairs i < k are gated by model._upper_tiles, each pair once, so
+    memory grows with the pairs within eps1, not with m^2.
     """
     m = cs.n_clusters
     d2 = cs.features.shape[1]
     centers = cs.centers
-    def near_pairs(rows):  # the tile's pairs i < k of centers within eps1
-        gate = _within(centers, *np.ogrid[rows, :m], spec.eps1, spec.norm1)
-        return np.argwhere(np.triu(gate, rows.start + 1)) + (rows.start, 0)
-    ii, kk = np.concatenate([near_pairs(rows) for rows in _row_tiles(m, m)]).T
+    ii, kk = np.concatenate([np.argwhere(t) + r0 for r0, t in
+                             _upper_tiles([(centers, spec.eps1, spec.norm1)], m, 1)]).T
     gap = np.zeros(ii.size)
     if d2 and ii.size:
         # componentwise interval gaps lower-bound the true member gap, so
         # box-separated pairs pass without touching member features, and
         # equal it when both clusters' features are single points
         fmin, fmax = cs.feature_min, cs.feature_max
-        box_gap = _norm(np.maximum(0.0, np.maximum(
+        box_gap = _power_sum(np.maximum(0.0, np.maximum(
             fmin[ii] - fmax[kk], fmin[kk] - fmax[ii])).T, spec.norm2)
-        near = box_gap <= spec.eps2
-        ii, kk, gap = ii[near], kk[near], box_gap[near]
+        near = box_gap <= _bound(spec.eps2, spec.norm2)
+        ii, kk, gap = ii[near], kk[near], _root(box_gap[near], spec.norm2)
         point = (fmin == fmax).all(axis=1)
         spread = np.flatnonzero(~(point[ii] & point[kk]))
         # each cluster's members are contiguous in f, sorted by feature in 1D

@@ -19,7 +19,6 @@ from bcclust.model import (
     InteractionSpec,
     ParticleSet,
     _norm,
-    _within,
     bbox_diameter,
     distance,
     distances_to,
@@ -44,11 +43,12 @@ def chi(eps: float, dist: float):
 
 
 def interaction_mask(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
-    """(n, n) boolean matrix of pairs passing both confidence gates."""
-    i, j = np.ogrid[:ps.n, :ps.n]
-    mask = _within(ps.positions, i, j, spec.eps1, spec.norm1)
+    """(n, n) boolean matrix of pairs passing both confidence gates, from
+    the distances themselves (their square roots taken), not from the
+    package's sqrt-free gate."""
+    mask = pairwise_distances(ps.positions, spec.norm1) <= spec.eps1
     if ps.d2 > 0:
-        mask &= _within(ps.features, i, j, spec.eps2, spec.norm2)
+        mask &= pairwise_distances(ps.features, spec.norm2) <= spec.eps2
     return mask
 
 

@@ -194,17 +194,55 @@ def grid_cases(draw, n_max=25):
     return ps, merge_tol, eps2
 
 
+# twelve particles on eighths, one spread block at eps1 = 1/4
+LINE12 = ParticleSet(np.arange(12)[:, None] / 8)
+
+
 class TestBlockedDrift:
     @given(blocked_cases())
     @example((ParticleSet([[0.0], [0.1], [0.9], [1.0]], [[0.5], [0.75], [1.0], [2.0]]),
               InteractionSpec(eps1=0.25, eps2=0.25, sigma_mode="stochastic"), 3))
+    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="stochastic"), 1))
+    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="symmetric"), 30))
+    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="stochastic"), 200))
     @settings(max_examples=300, deadline=None)
     def test_blocked_drift_matches_dense(self, case):
-        """Per-component blocks, closed form and row chunks equal the full sum."""
+        """Per-component blocks, closed form and upper-triangle tiles equal
+        the full sum, for tiles of one row, tiles of a few rows whose leading
+        block covers part of the diagonal, and one tile of the whole block."""
         ps, spec, chunk = case
         with mock.patch.object(model, "_TILE_PAIRS", chunk):
             blocked = _drift(ps, spec)
         np.testing.assert_allclose(blocked, dense_drift(ps, spec), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tile", [1, 5, 30, 2**17])
+    @pytest.mark.parametrize("mode", ["symmetric", "stochastic"])
+    def test_each_unordered_pair_gated_once(self, tile, mode):
+        """Each gated block of m particles has exactly m(m+1)/2 pairs gated,
+        counted at model._gate, and a collapsed block none; the cluster
+        check gates m(m-1)/2 center pairs."""
+        rng = np.random.default_rng(3)
+        sizes = [1, 2, 12, 45]
+        pos = np.vstack([rng.uniform(0, 1, (m, 2)) for m in sizes]
+                        + [np.full((7, 2), 0.5) + rng.uniform(0, 1e-3, (7, 2))])
+        feat = np.repeat(np.arange(len(sizes) + 1) * 10.0, sizes + [7])[:, None]
+        ps = ParticleSet(pos, feat)
+        spec = InteractionSpec(eps1=0.3, eps2=1.0, sigma_mode=mode)
+        gate, counts = model._gate, []
+        def counting(groups, i, j):
+            counts.append(np.broadcast(i, j).size)
+            return gate(groups, i, j)
+        with mock.patch.object(model, "_gate", counting), \
+                mock.patch.object(model, "_TILE_PAIRS", tile):
+            v = _drift(ps, spec)
+            assert sum(counts) == sum(m * (m + 1) // 2 for m in sizes[1:])
+            np.testing.assert_allclose(v, dense_drift(ps, spec), rtol=0, atol=1e-12)
+            counts.clear()
+            cs = extract_clusters(ParticleSet(pos[:60]), 1e-9, spec)
+            rep = verify_steady_state(cs, spec)
+        assert sum(counts) == 60 * 59 // 2
+        assert [tuple(v)[:2] for v in rep.violations] == [
+            v[:2] for v in steady_state_violations(cs, spec)]
 
     @pytest.mark.parametrize("mode", ["symmetric", "stochastic"])
     def test_each_block_gates_only_what_spreads(self, mode):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,6 +328,91 @@ class TestOneNorm:
     def test_unknown_norm(self):
         with pytest.raises(ConfigError):
             distance([0.0], [1.0], "chebyshev")
+
+
+def explicit_root_distance(a, b):
+    """np.sqrt of the sum of the squares of b - a, added in its last axis's
+    order."""
+    with np.errstate(all="ignore"):
+        diff = b - a
+        acc = diff[..., 0] * diff[..., 0]
+        for k in range(1, diff.shape[-1]):
+            acc = acc + diff[..., k] * diff[..., k]
+        return np.sqrt(acc)
+
+
+def explicit_root_gate(points, eps):
+    """(n, n) matrix of np.sqrt(sum of squares) <= eps over every ordered
+    pair (i, j) of rows."""
+    return explicit_root_distance(points[:, None, :], points[None, :, :]) <= eps
+
+
+EDGE_EPS = [0.0, 5e-324, 1e-160, 1e200, np.inf]
+coords = st.one_of(st.floats(), st.integers(-8, 8).map(lambda k: k / 8),
+                   st.sampled_from([5e-324, 1e-160, 1e154, 1e200, -1e200]))
+
+
+class TestSqrtFreeGate:
+    """The euclidean gate compares a sum of squares with _sq_bound(eps) and
+    takes no square root; its decisions are the root's, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_within_is_the_root_test(self, data):
+        """Random rows in 1 to 8 columns, inf and nan among the coordinates,
+        against eps at the edge values, anywhere, or at a pair's distance
+        and one ulp either side of it."""
+        n, d = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 8))
+        pts = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d)),
+                       dtype=float).reshape(n, d)
+        r = float(explicit_root_distance(pts[0], pts[-1]))
+        at = [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)] if r >= 0 else [0.0]
+        eps = data.draw(st.one_of(st.sampled_from(EDGE_EPS), st.floats(min_value=0.0),
+                                  st.sampled_from(at)))
+        i, j = np.ogrid[:n, :n]
+        with np.errstate(all="ignore"):
+            got = _within(pts, i, j, eps, "euclidean")
+        np.testing.assert_array_equal(got, explicit_root_gate(pts, eps))
+
+    @pytest.mark.parametrize("eps", EDGE_EPS)
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_edge_eps_on_special_coordinates(self, eps, d):
+        vals = [0.0, 5e-324, 1e-160, 1e-154, 0.5, 1e154, 1e200, np.inf, -np.inf, np.nan]
+        pts = np.random.default_rng(d).choice(vals, size=(40, d))
+        i, j = np.ogrid[:40, :40]
+        with np.errstate(all="ignore"):
+            got = _within(pts, i, j, eps, "euclidean")
+        np.testing.assert_array_equal(got, explicit_root_gate(pts, eps))
+
+    @given(st.floats(min_value=0.0, allow_infinity=False))
+    @settings(max_examples=1000)
+    def test_sq_bound_is_the_largest_square_within(self, eps):
+        t = model._sq_bound(eps)
+        assert t >= 0.0
+        assert math.sqrt(t) <= eps < math.sqrt(math.nextafter(t, math.inf))
+
+    def test_sq_bound_edges(self):
+        assert model._sq_bound(np.inf) == np.inf
+        assert math.isnan(model._sq_bound(np.nan))
+        assert model._sq_bound(-1.0) == -np.inf
+        assert model._sq_bound(0.0) == 0.0 and model._sq_bound(5e-324) == 0.0
+        assert model._sq_bound(1e200) == sys.float_info.max
+        assert model._bound(0.3, "max") == 0.3 and model._bound(0.3, "manhattan") == 0.3
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 4),
+           st.sampled_from(["euclidean", "max", "manhattan"]), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_nearest_distances_and_box_keep_their_values(self, na, nb, d, norm, tile):
+        """One root per row after the least sum, and a box reduced column by
+        column, give the bits of a root per pair and of max(axis=0)."""
+        rng = np.random.default_rng(na * 1000 + nb * 10 + d)
+        a, b = corner_pairs(rng, na + nb, d)
+        a, b = a[:na], b[:nb]
+        with mock.patch.object(model, "_TILE_PAIRS", tile):
+            got = model._nearest_distances(a, b, norm)
+        ref = pairwise_distances(np.vstack([a, b]), norm)[:na, na:].min(axis=1)
+        assert got.tolist() == ref.tolist()
+        assert bbox_diameter(a, norm) == distance(a.max(axis=0), a.min(axis=0), norm)
 
 
 class TestGates:
