@@ -1,6 +1,7 @@
 """Cell lists: candidate pools that hold every gated neighborhood in a few index
-ranges, the exact component finder of a gate, and the check that a gate is
-frozen, with the one-range pool of its components.
+ranges, which serve the partner draws and the steady-state check's center
+pairs (expanded by _range_pairs), the exact component finder of a gate, and
+the check that a gate is frozen, with the one-range pool of its components.
 
 The gated coordinates are those of the groups that model._gates keeps: the
 features (cell side eps2) and the positions (cell side eps1), each only when
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import model
 from .model import (InteractionSpec, ParticleSet, _bound, _gate, _gates, _power_sum,
-                    _row_tiles, _within)
+                    _row_batches, _within)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class CandidatePool:
 
     def gate(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether j is in N_i, elementwise over broadcast index arrays."""
-        return _gate(self.groups, i, j)
+        return model._gate(self.groups, i, j)
 
 
 def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:
@@ -180,9 +181,9 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
     group's first coordinate (sweep and prune: Cohen et al., I-COLLIDE, SI3D
     1995).  Only parts whose low ends lie within reach of a part's high end
     can fail to be apart from it; the reach is wide enough that a gap beyond
-    it passes the gate in no norm, its square a normal double.  Those pairs
-    are tested in batches of about model._TILE_PAIRS, up to the first that
-    no group separates.
+    it passes the gate in no norm, its square a normal double.  So the a-th
+    part's candidates are the range from a + 1 to the last low end within
+    reach, tested in _row_batches up to the first that no group separates.
     """
     order, starts = _label_runs(labels)
     boxes = [(*_boxes(p, order, starts), eps, norm) for p, eps, norm in groups]
@@ -197,24 +198,27 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
     low, high = lo0[by, 0], hi0[by, 0]
     reach = (max(eps0, 2.0**-500) * (1 + 2.0**-40)
              + 2.0**-40 * float(np.abs(high).max()))
-    cnt = np.searchsorted(low, high + reach, side="right") - np.arange(m) - 1
-    tot = np.cumsum(cnt)
-    a = 0
-    while a < m:
-        done = tot[a] - cnt[a]
-        b = max(a + 1, int(np.searchsorted(tot, done + model._TILE_PAIRS, side="right")))
-        c = cnt[a:b]
-        k = np.repeat(np.arange(a, b), c)
-        i, j = by[k], by[k + 1 + np.arange(k.size) - np.repeat(tot[a:b] - c - done, c)]
-        apart = np.zeros(k.size, dtype=bool)
+    first, end = np.arange(1, m + 1), np.searchsorted(low, high + reach, side="right")
+    for rows in _row_batches(end - first):
+        a, at = _range_pairs(first[rows, None], end[rows, None])
+        i, j = by[a + rows.start], by[at]
+        apart = np.zeros(i.size, dtype=bool)
         for lo, hi, eps, norm in boxes:
             gaps = (np.maximum(0.0, np.maximum(lo[j, d] - hi[i, d], lo[i, d] - hi[j, d]))
                     for d in range(lo.shape[1]))
             apart |= _power_sum(gaps, norm) > _bound(eps, norm)
         if not apart.all():
             return False
-        a = b
     return True
+
+
+def _range_pairs(lo, hi):
+    """The members of the half-open ranges lo[r, c]:hi[r, c], (rows, R)
+    arrays, as (row, at): the row r of each member and its value, row by
+    row, each row's ranges in column order."""
+    seg = (hi - lo).ravel()
+    at = np.repeat(lo.ravel() - np.cumsum(seg) + seg, seg) + np.arange(seg.sum())
+    return np.repeat(np.arange(lo.shape[0]), (hi - lo).sum(axis=1)), at
 
 
 def _label_runs(labels):
@@ -265,19 +269,18 @@ def components(groups, n: int) -> np.ndarray:
     key = sum((q + r).astype(dtype) * s for (q, r), s in zip(cols, strides))
     cells, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
     m = cells.size
-    order = np.argsort(cell_of, kind="stable")
-    size = np.bincount(cell_of, minlength=m)
-    start = np.cumsum(size) - size
+    order, start = _label_runs(cell_of)
+    size = np.diff(start, append=n)
 
     # Adjacent cell pairs a < b.  The stencil holds (2 * reach + 1)**d
     # offsets, which outgrows the cells themselves in a few dimensions; then
-    # the cells are compared pairwise, in row tiles.  Otherwise the pairs
+    # the cells are compared pairwise, in row batches.  Otherwise the pairs
     # come one stencil offset at a time, and of each offset and its negation
     # only the one with a positive key step is needed.
     pairs = [np.empty((2, 0), dtype=np.intp)]
     if m <= math.prod(2 * r + 1 for _, r in cols):
         cell_q = [(q[first], r) for q, r in cols]
-        for rows in _row_tiles(m, m):
+        for rows in _row_batches(np.full(m, m)):
             near = np.triu(np.ones((rows.stop - rows.start, m), dtype=bool), rows.start + 1)
             for q, r in cell_q:
                 near &= np.abs(q[rows, None] - q[None, :]) <= r
@@ -297,9 +300,8 @@ def components(groups, n: int) -> np.ndarray:
     # and floats, so a batch stays near 2**17 * 40 B = 5 MiB.
     rows = np.maximum(1, model._TILE_PAIRS // size[b])
     per = -(-size[a] // rows)
-    u = np.repeat(np.arange(a.size), per)
-    r0 = (np.arange(u.size) - np.repeat(np.cumsum(per) - per, per)) * rows[u]
-    pend = np.stack([a[u], b[u], r0, np.minimum(r0 + rows[u], size[a][u])])
+    u, r = _range_pairs(np.zeros((a.size, 1), dtype=np.int64), per[:, None])
+    pend = np.stack([a[u], b[u], r * rows[u], np.minimum((r + 1) * rows[u], size[a][u])])
     pend = pend[:, np.argsort((pend[3] - pend[2]) * size[pend[1]], kind="stable")]
     root = np.arange(m)
     while pend.shape[1]:
@@ -308,9 +310,7 @@ def components(groups, n: int) -> np.ndarray:
         take = max(1, int(np.searchsorted(cost, model._TILE_PAIRS, side="right")))
         (ca, cb, lo, hi), pend = pend[:, :take], pend[:, take:]
         nb = size[cb]
-        cnt = (hi - lo) * nb
-        k = np.repeat(np.arange(ca.size), cnt)
-        t = np.arange(k.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        k, t = _range_pairs(np.zeros((ca.size, 1), dtype=np.int64), ((hi - lo) * nb)[:, None])
         i = order[(start[ca] + lo)[k] + t // nb[k]]
         j = order[start[cb][k] + t % nb[k]]
         ok = _gate(groups, i, j)

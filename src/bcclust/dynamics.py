@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cells import components
+from .cells import _boxes, _label_runs, _range_pairs, candidate_pool, components
 from .model import (
     ConfigError,
     InteractionSpec,
@@ -22,6 +22,7 @@ from .model import (
     _norm,
     _power_sum,
     _root,
+    _row_batches,
     _upper_tiles,
     bbox_diameter,
 )
@@ -113,12 +114,6 @@ class SteadyStateReport:
     violations: np.recarray
 
 
-def _members(labels: np.ndarray) -> list:
-    """Sorted member indices of each component of a labelling, in label order."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
-
-
 def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
     """The static-feature components of ps, the independent blocks of the drift.
 
@@ -130,7 +125,8 @@ def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
     out.
     """
     groups = _gates(ps.positions, ps.features, replace(spec, eps1=np.inf))
-    return [idx for idx in _members(components(groups, ps.n)) if idx.size > 1]
+    order, starts = _label_runs(components(groups, ps.n))
+    return [idx for idx in np.split(order, starts[1:]) if idx.size > 1]
 
 
 def _dense_drift(xc: np.ndarray, gates: list, spec: InteractionSpec, n: int) -> np.ndarray:
@@ -289,11 +285,8 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
     def mean(a):
         sums = np.array([np.bincount(labels, col) for col in a.T])
         return sums.reshape(-1, size.size).T / size[:, None]
-    f = ps.features[np.argsort(labels, kind="stable")]
-    starts = np.cumsum(size) - size
     return ClusterSet(labels, size / ps.n, mean(ps.positions), mean(ps.features),
-                      np.minimum.reduceat(f, starts), np.maximum.reduceat(f, starts),
-                      ps.features)
+                      *_boxes(ps.features, *_label_runs(labels)), ps.features)
 
 
 def _sorted_gap(a: np.ndarray, b: np.ndarray, norm: str) -> float:
@@ -313,39 +306,41 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     violation array characterizes a stationary sum of Dirac concentrations.
     Violations come in row-major order of the pairs (i, k), i < k.
 
-    Center pairs i < k are gated by model._upper_tiles, each pair once, so
-    memory grows with the pairs within eps1, not with m^2.
+    Center pairs come from their candidate pool at eps1, so memory grows with
+    the candidate violations, not with m^2 or with the pairs within eps1.
     """
-    m = cs.n_clusters
-    d2 = cs.features.shape[1]
-    centers = cs.centers
-    ii, kk = np.concatenate([np.argwhere(t) + r0 for r0, t in
-                             _upper_tiles([(centers, spec.eps1, spec.norm1)], m, 1)]).T
-    gap = np.zeros(ii.size)
+    m, d2 = cs.n_clusters, cs.features.shape[1]
+    centers, fmin, fmax = cs.centers, cs.feature_min, cs.feature_max
+    def box_gap(i, k):
+        # componentwise interval gaps lower-bound the member gap, and equal
+        # it when both clusters' features are single points
+        return _power_sum(np.maximum(0.0, np.maximum(
+            fmin[i] - fmax[k], fmin[k] - fmax[i])).T, spec.norm2)
+    pool = candidate_pool(ParticleSet(centers), InteractionSpec(spec.eps1, norm1=spec.norm1))
+    keys = []
+    for rows in _row_batches((pool.hi - pool.lo).sum(axis=1)):
+        r, at = _range_pairs(pool.lo[rows], pool.hi[rows])
+        i, k = r + rows.start, pool.order[at]
+        near = k > i
+        if not pool.exact:
+            near[near] = pool.gate(i[near], k[near])
+        if d2:
+            near[near] = box_gap(i[near], k[near]) <= _bound(spec.eps2, spec.norm2)
+        # batches come in row order, and each row's pairs in pool order
+        keys.append(np.sort(i[near] * m + k[near]))
+    ii, kk = np.divmod(np.concatenate(keys), m)
+    gap = _root(box_gap(ii, kk), spec.norm2) if d2 else np.zeros(ii.size)
     if d2 and ii.size:
-        # componentwise interval gaps lower-bound the true member gap, so
-        # box-separated pairs pass without touching member features, and
-        # equal it when both clusters' features are single points
-        fmin, fmax = cs.feature_min, cs.feature_max
-        box_gap = _power_sum(np.maximum(0.0, np.maximum(
-            fmin[ii] - fmax[kk], fmin[kk] - fmax[ii])).T, spec.norm2)
-        near = box_gap <= _bound(spec.eps2, spec.norm2)
-        ii, kk, gap = ii[near], kk[near], _root(box_gap[near], spec.norm2)
         point = (fmin == fmax).all(axis=1)
         spread = np.flatnonzero(~(point[ii] & point[kk]))
-        # each cluster's members are contiguous in f, sorted by feature in 1D
-        size = np.bincount(cs.labels)
-        ends = np.cumsum(size)
-        starts, ends = (ends - size).tolist(), ends.tolist()
-        if d2 == 1:
-            f = cs.features[np.lexsort((cs.features[:, 0], cs.labels)), 0]
-            def pair_gap(a, b):
-                return _sorted_gap(a, b, spec.norm2)
-        else:
-            f = cs.features[np.argsort(cs.labels, kind="stable")]
-            def pair_gap(a, b):
-                return float(_nearest_distances(a, b, spec.norm2).min())
-        gap[spread] = [pair_gap(f[starts[i]:ends[i]], f[starts[k]:ends[k]])
+        # each cluster's members are a run of f, sorted by their first feature
+        f = cs.features[np.lexsort((cs.features[:, 0], cs.labels))]
+        run = np.append(_label_runs(cs.labels)[1], f.shape[0]).tolist()
+        def pair_gap(a, b):
+            if d2 == 1:
+                return _sorted_gap(a[:, 0], b[:, 0], spec.norm2)
+            return float(_nearest_distances(a, b, spec.norm2).min())
+        gap[spread] = [pair_gap(f[run[i]:run[i + 1]], f[run[k]:run[k + 1]])
                        for i, k in zip(ii[spread].tolist(), kk[spread].tolist())]
     cdist = _norm((centers[ii] - centers[kk]).T, spec.norm1)
     keep = gap <= spec.eps2

@@ -435,9 +435,12 @@ def write_particles_csv(path, ps) -> None:
 
 def read_particles_csv(path) -> ParticleSet:
     """A particles CSV: header x_1..x_d1, c_1..c_d2, then one row per
-    particle."""
+    particle.  A nan or inf entry is a ClusteringError, as a malformed row."""
     arr, (d1, d2) = _read_table(path, "x_", "c_")
-    return ParticleSet(arr[:, :d1], arr[:, d1:d1 + d2] if d2 else None)
+    try:
+        return ParticleSet(arr[:, :d1], arr[:, d1:d1 + d2] if d2 else None)
+    except ConfigError as exc:
+        raise ClusteringError(f"{path}: {exc}") from None
 
 
 # -- manifests ----------------------------------------------------------------

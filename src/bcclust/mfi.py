@@ -78,10 +78,8 @@ class _FrozenGate:
         labels = _link(i.copy(), np.broadcast_to(i, edges.shape)[has], edges[has])
         if not gate_frozen(pool.groups, labels):
             return
-        _, self.comp = np.unique(labels, return_inverse=True)
-        self.size = np.bincount(self.comp)
-        self.starts = np.cumsum(self.size) - self.size
-        self.pool = component_pool(self.comp)
+        self.pool = component_pool(labels)
+        self.starts, self.comp = np.unique(self.pool.lo[:, 0], return_inverse=True)
         self.lo, self.hi = _boxes(ps.positions, self.pool.order, self.starts)
         self.since = ps.t
 
@@ -122,10 +120,10 @@ class _FrozenGate:
         M, order = cfg.M, self.pool.order
         sub = np.full((M, ps.n), -1, dtype=np.int64)
         i = np.flatnonzero(hold)
-        c = self.comp[i]
+        lo, hi = self.pool.lo[i, 0], self.pool.hi[i, 0]
         t = np.arange(M)[:, None]
-        at = self.starts[c] + t + (t >= self.pool.rank[i] - self.starts[c])
-        sub[:, i] = np.where(t < np.minimum(M, self.size[c] - 1),
+        at = lo + t + (t >= self.pool.rank[i] - lo)
+        sub[:, i] = np.where(t < np.minimum(M, hi - lo - 1),
                              order[np.minimum(at, ps.n - 1)], -1)
         drawn = np.flatnonzero(~hold)
         if drawn.size:

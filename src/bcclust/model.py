@@ -104,8 +104,8 @@ class ParticleSet:
 
     positions: (n, d1) array, features: (n, d2) array with d2 = 0 encoding
     "no static feature" (every feature distance is then zero and the eps2
-    gate is vacuous).  Arrays are copied on construction and marked read-only;
-    integrators return new instances sharing the feature array.
+    gate is vacuous), all finite.  Arrays are copied on construction and marked
+    read-only; integrators return new instances sharing the feature array.
     """
 
     __slots__ = ("positions", "features", "t")
@@ -127,6 +127,8 @@ class ParticleSet:
                 raise DimensionMismatch(
                     f"features rows {feat.shape[0]} != positions rows {n}"
                 )
+        if not (np.isfinite(pos).all() and np.isfinite(feat).all()):
+            raise ConfigError("positions and features must be finite")
         pos.setflags(write=False)
         feat.setflags(write=False)
         self.positions = pos
@@ -146,7 +148,7 @@ class ParticleSet:
         return self.features.shape[1]
 
     def with_positions(self, positions: np.ndarray, t: float) -> "ParticleSet":
-        """New snapshot with updated positions, sharing the feature array."""
+        """New snapshot with updated positions, sharing the feature array; unchecked."""
         ps = ParticleSet.__new__(ParticleSet)
         pos = np.array(positions, dtype=float)
         pos.setflags(write=False)
@@ -278,30 +280,33 @@ def _gate(groups: list, i, j) -> np.ndarray:
     return ok
 
 
-def _row_tiles(rows: int, cols: int) -> list:
-    """Row slices of a (rows, cols) pairwise evaluation, each of at most
-    _TILE_PAIRS pairs unless a single row is longer."""
-    step = max(1, _TILE_PAIRS // max(cols, 1))
-    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+def _row_batches(counts):
+    """Consecutive slices of rows that hold counts[r] pairs each, each slice
+    of at most _TILE_PAIRS pairs unless a single row is longer."""
+    tot, a = np.cumsum(counts), 0
+    while a < tot.size:
+        b = max(a + 1, int(np.searchsorted(tot, tot[a] - counts[a] + _TILE_PAIRS, "right")))
+        yield slice(a, b)
+        a = b
 
 
-def _upper_tiles(groups: list, m: int, k: int = 0):
+def _upper_tiles(groups: list, m: int):
     """_gate of groups over the upper triangle of an m x m evaluation, the
-    pairs (i, j) with j >= i + k, k being 0 or 1, in row tiles of at most
-    _TILE_PAIRS pairs unless a single row is longer.
+    pairs (i, j) with j >= i, in row tiles of at most _TILE_PAIRS pairs
+    unless a single row is longer.
 
     Yields (r0, t): t is the (b, m - r0) bool gate of rows r0:r0+b against
     columns r0:m.  Its leading (b, b) block is gated on its upper triangle
     only, through index lists, and is False below it; the columns beyond
-    are gated by broadcasting.  So the tiles gate each pair of the triangle
-    once: m(m+1)/2 pairs for k = 0, m(m-1)/2 for k = 1."""
+    are gated by broadcasting.  So the tiles gate each of the m(m+1)/2
+    pairs of the triangle once."""
     idx = np.arange(m)
     r0 = 0
     while r0 < m:
         b = min(m - r0, max(1, _TILE_PAIRS // (m - r0)))
         r1 = r0 + b
         t = np.zeros((b, m - r0), dtype=bool)
-        iu, ju = np.triu_indices(b, k)
+        iu, ju = np.triu_indices(b)
         t[iu, ju] = _gate(groups, iu + r0, ju + r0)
         if r1 < m:
             t[:, b:] = _gate(groups, idx[r0:r1, None], idx[None, r1:])
@@ -310,10 +315,10 @@ def _upper_tiles(groups: list, m: int, k: int = 0):
 
 
 def _nearest_distances(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
-    """Distance from each row of a to its nearest row of b, in row tiles of
-    at most _TILE_PAIRS pairs: each row's least _power_sum, then one root
-    per row, which is the least distance as the root is monotone."""
+    """Distance from each row of a to its nearest row of b, in _row_batches:
+    each row's least _power_sum, then one root per row, which is the least
+    distance as the root is monotone."""
     return _root(np.concatenate([
         _power_sum((a[rows, k, None] - b[None, :, k] for k in range(a.shape[1])),
                    norm).min(axis=1)
-        for rows in _row_tiles(a.shape[0], b.shape[0])]), norm)
+        for rows in _row_batches(np.full(a.shape[0], b.shape[0]))]), norm)

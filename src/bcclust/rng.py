@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cells import _range_pairs
 from .model import ConfigError
 
 _U = np.uint64
@@ -190,19 +191,17 @@ class RngStream:
         scan = np.concatenate([np.nonzero(size <= _ENUMERATE * M)[0], drawn[rows]])
         if scan.size:
             out[:, scan] = self._scan_pool(keys[scan], particles[scan], M, pool,
-                                           lo[scan], lens[scan])
+                                           lo[scan], hi[scan])
         return out
 
     @staticmethod
-    def _scan_pool(keys, particles, M, pool, lo, lens):
+    def _scan_pool(keys, particles, M, pool, lo, hi):
         # Gate every candidate and keep the M accepted ones of lowest keyed
         # priority, a uniform M-subset; all of them when M or fewer pass.
         # One sort orders the rows and, within each, the top 64 - b bits of
         # the priority, with b bits for the row; ties (2**(b-64) per pair)
         # keep pool order.
-        seg = lens.ravel()
-        at = np.repeat(lo.ravel() - np.cumsum(seg) + seg, seg) + np.arange(seg.sum())
-        owner = np.repeat(np.arange(len(particles)), lens.sum(axis=1))
+        owner, at = _range_pairs(lo, hi)
         j = pool.order[at]
         i = particles[owner]
         ok = j != i

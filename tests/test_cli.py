@@ -93,10 +93,11 @@ class TestSimulateCommand:
                     "--t-final", "2", "--out-dir", str(out)]) == 0
 
     @pytest.mark.parametrize("body", ["x_1\n", "x_1\n0.5\nabc\n",
-                                      "x_1,c_1\n0.5,1\n0.25\n"])
+                                      "x_1,c_1\n0.5,1\n0.25\n", "x_1\n0.5\ninf\n",
+                                      "x_1,c_1\n0.5,1\n0.25,nan\n"])
     def test_corrupt_init_file_is_runtime_error(self, tmp_path, capsys, body):
-        """A header-only file or a malformed row exits 1 with one error line
-        naming the file, not a traceback."""
+        """A header-only file, a malformed row or a nan or infinite entry
+        exits 1 with one error line naming the file, not a traceback."""
         ps_path = tmp_path / "init.csv"
         ps_path.write_text(body)
         assert run(["simulate", "--init", "file", "--init-file", str(ps_path),
@@ -502,6 +503,20 @@ class TestUsageErrorsWriteNothing:
         assert run(argv) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_steady_states_script_runs(tmp_path):
+    """The survey script, which no test imports, starts and parses its flags
+    in a fresh interpreter."""
+    import bcclust
+
+    src = os.path.dirname(os.path.dirname(bcclust.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "steady_states.py")
+    out = subprocess.run([sys.executable, script, "--help"], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "--seeds" in out.stdout
 
 
 def modules_after_cli_import(*names):

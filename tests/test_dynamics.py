@@ -175,14 +175,14 @@ def blocked_cases(draw):
 
 
 @st.composite
-def grid_cases(draw, n_max=25):
-    """A particle set, merge_tol and eps2.  Positions (d1 in {1, 2}),
-    features (d2 in {0, 1, 2}) and, mostly, both tolerances lie on one grid
-    of eighths or of tenths, so pairs exactly at a tolerance occur, with
-    exact binary arithmetic and with rounding."""
+def grid_cases(draw, n_max=25, d1=st.integers(1, 2)):
+    """A particle set, merge_tol and eps2.  Positions (d1 drawn from d1,
+    {1, 2} by default), features (d2 in {0, 1, 2}) and, mostly, both
+    tolerances lie on one grid of eighths or of tenths, so pairs exactly at
+    a tolerance occur, with exact binary arithmetic and with rounding."""
     den = draw(st.sampled_from([8, 10]))
     n = draw(st.integers(1, n_max))
-    d1, d2 = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    d1, d2 = draw(d1), draw(st.integers(0, 2))
     pos = draw(st.lists(st.integers(0, den), min_size=n * d1, max_size=n * d1))
     feat = draw(st.lists(st.integers(0, den), min_size=n * d2, max_size=n * d2))
     ps = ParticleSet(np.reshape(pos, (n, d1)) / den,
@@ -219,8 +219,9 @@ class TestBlockedDrift:
     @pytest.mark.parametrize("mode", ["symmetric", "stochastic"])
     def test_each_unordered_pair_gated_once(self, tile, mode):
         """Each gated block of m particles has exactly m(m+1)/2 pairs gated,
-        counted at model._gate, and a collapsed block none; the cluster
-        check gates m(m-1)/2 center pairs."""
+        counted at model._gate, and a collapsed block none.  The cluster
+        check gates no center pair twice, and only pairs i < k that the
+        centers' candidate pool holds."""
         rng = np.random.default_rng(3)
         sizes = [1, 2, 12, 45]
         pos = np.vstack([rng.uniform(0, 1, (m, 2)) for m in sizes]
@@ -228,19 +229,27 @@ class TestBlockedDrift:
         feat = np.repeat(np.arange(len(sizes) + 1) * 10.0, sizes + [7])[:, None]
         ps = ParticleSet(pos, feat)
         spec = InteractionSpec(eps1=0.3, eps2=1.0, sigma_mode=mode)
-        gate, counts = model._gate, []
+        gate, gated = model._gate, []
         def counting(groups, i, j):
-            counts.append(np.broadcast(i, j).size)
+            gated.append(np.broadcast_arrays(i, j))
             return gate(groups, i, j)
         with mock.patch.object(model, "_gate", counting), \
                 mock.patch.object(model, "_TILE_PAIRS", tile):
             v = _drift(ps, spec)
-            assert sum(counts) == sum(m * (m + 1) // 2 for m in sizes[1:])
+            assert sum(i.size for i, _ in gated) == sum(m * (m + 1) // 2 for m in sizes[1:])
             np.testing.assert_allclose(v, dense_drift(ps, spec), rtol=0, atol=1e-12)
-            counts.clear()
+            gated.clear()
             cs = extract_clusters(ParticleSet(pos[:60]), 1e-9, spec)
             rep = verify_steady_state(cs, spec)
-        assert sum(counts) == 60 * 59 // 2
+        pairs = [(a, b) for i, j in gated for a, b in zip(i.ravel().tolist(),
+                                                          j.ravel().tolist())]
+        pool = cells.candidate_pool(ParticleSet(cs.centers), InteractionSpec(spec.eps1))
+        candidates = {(a, int(pool.order[at]))
+                      for a in range(cs.n_clusters)
+                      for lo, hi in zip(pool.lo[a], pool.hi[a]) for at in range(lo, hi)}
+        assert not pool.exact and pairs
+        assert len(set(pairs)) == len(pairs)
+        assert all(a < b for a, b in pairs) and set(pairs) <= candidates
         assert [tuple(v)[:2] for v in rep.violations] == [
             v[:2] for v in steady_state_violations(cs, spec)]
 
@@ -609,6 +618,23 @@ class TestVerifySteadyState:
         assert got == steady_state_violations(cs, spec)
         assert rep.passed == (not got)
 
+    @given(grid_cases(d1=st.integers(1, 3)),
+           st.sampled_from([0.0, 5e-324, 0.1, 0.125, 0.25, 0.3, np.inf]),
+           NORM, NORM, st.booleans(), st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_oracle_in_3d_and_at_zero_eps(self, case, eps1, norm1, norm2,
+                                                         singletons, tile):
+        """As above, with 3D centers, whose pool has two row coordinates,
+        and with eps1 of 0 and the least subnormal, where only equal centers
+        are near."""
+        ps, merge_tol, eps2 = case
+        spec = InteractionSpec(eps1=eps1, eps2=eps2, norm1=norm1, norm2=norm2)
+        cs = extract_clusters(ps, 1e-9 if singletons else merge_tol, spec)
+        with mock.patch.object(model, "_TILE_PAIRS", tile):
+            rep = verify_steady_state(cs, spec)
+        got = [(v.i, v.k, v.center_distance, v.min_feature_gap) for v in rep.violations]
+        assert got == steady_state_violations(cs, spec)
+
     @pytest.mark.parametrize("d2", [1, 2])
     @pytest.mark.parametrize("norm2", ["euclidean", "max", "manhattan"])
     def test_point_feature_pairs_need_no_member_gap(self, d2, norm2):
@@ -646,3 +672,18 @@ class TestVerifySteadyState:
             tracemalloc.stop()
         assert rep.passed
         assert peak < 32 * 2**20
+
+    def test_isolated_centers_gate_few_pairs(self):
+        """The 5000 isolated centers above are gated only against the
+        candidates of their cell rows, O(m) pairs, not m(m-1)/2."""
+        ps = ParticleSet(np.random.default_rng(1).uniform(0, 1, (5000, 2)))
+        spec = InteractionSpec(eps1=1e-6)
+        cs = extract_clusters(ps, 1e-9, spec)
+        gate, counts = model._gate, []
+        def counting(groups, i, j):
+            counts.append(np.broadcast(i, j).size)
+            return gate(groups, i, j)
+        with mock.patch.object(model, "_gate", counting):
+            rep = verify_steady_state(cs, spec)
+        assert rep.passed
+        assert sum(counts) <= cs.n_clusters

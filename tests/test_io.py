@@ -297,8 +297,9 @@ def labels_table(values, ints, d, tmp):
 
 
 def particles_table(values, ints, d, tmp):
+    """The finite values only, as a ParticleSet holds no nan or inf."""
     d2 = d - 1
-    t = filled(values, d + d2)
+    t = filled([v for v in values if np.isfinite(v)] or [0.5], d + d2)
     ps = ParticleSet(t[:, :d], t[:, d:] if d2 else None)
     bio.write_particles_csv(tmp / "particles.csv", ps)
     return {"particles.csv": [[*ps.positions[i], *ps.features[i]] for i in range(ps.n)]}

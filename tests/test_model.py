@@ -110,6 +110,15 @@ class TestParticleSet:
         with pytest.raises(ConfigError):
             ParticleSet(np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["positions", "features"])
+    def test_non_finite_entry_rejected(self, bad, where):
+        """A nan or infinite coordinate has no place in a gate or a mean."""
+        arrays = {"positions": np.zeros((3, 2)), "features": np.zeros((3, 1))}
+        arrays[where][1, 0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            ParticleSet(arrays["positions"], arrays["features"])
+
     def test_with_positions_shares_features(self):
         ps = ParticleSet(np.zeros((3, 2)), np.ones((3, 1)))
         ps2 = ps.with_positions(np.ones((3, 2)), t=1.0)
@@ -413,6 +422,31 @@ class TestSqrtFreeGate:
         ref = pairwise_distances(np.vstack([a, b]), norm)[:na, na:].min(axis=1)
         assert got.tolist() == ref.tolist()
         assert bbox_diameter(a, norm) == distance(a.max(axis=0), a.min(axis=0), norm)
+
+
+class TestRowBatches:
+    @pytest.mark.parametrize("rows, cols, tile", [
+        (1, 1, 1), (7, 1, 3), (7, 3, 3), (10, 4, 9), (10, 40, 9), (100, 7, 64),
+        (5000, 5000, 2**17), (300, 2**17, 2**17), (300, 2**17 + 1, 2**17)])
+    def test_uniform_counts_give_fixed_row_steps(self, rows, cols, tile):
+        """With every row of one length, the batches are the fixed row steps
+        of the row tiles they replace: max(1, tile // cols) rows each."""
+        step = max(1, tile // cols)
+        with mock.patch.object(model, "_TILE_PAIRS", tile):
+            got = list(model._row_batches(np.full(rows, cols)))
+        assert got == [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.integers(1, 64))
+    def test_batches_are_greedy_and_bounded(self, counts, tile):
+        """Consecutive slices covering every row, each of at most tile pairs
+        unless it is one row, and each as long as the bound allows."""
+        with mock.patch.object(model, "_TILE_PAIRS", tile):
+            got = list(model._row_batches(np.array(counts)))
+        assert [s.start for s in got] == [0] + [s.stop for s in got[:-1]]
+        assert got[-1].stop == len(counts)
+        for s in got:
+            assert s.stop - s.start == 1 or sum(counts[s]) <= tile
+            assert s.stop == len(counts) or sum(counts[s.start:s.stop + 1]) > tile
 
 
 class TestGates:
