@@ -281,10 +281,16 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
                         ps.n)
     size = np.bincount(labels)
     # bincount adds each cluster's members in index order, as mean(axis=0)
-    # over the member rows does when they have two or more columns
+    # over the member rows does when they have two or more columns.  A sum
+    # near the largest double can overflow where its mean does not; such a
+    # mean is summed again from each member's share x / size.
     def mean(a):
         sums = np.array([np.bincount(labels, col) for col in a.T])
-        return sums.reshape(-1, size.size).T / size[:, None]
+        out = sums.reshape(-1, size.size).T / size[:, None]
+        for c in np.flatnonzero(~np.isfinite(out).all(axis=0)):
+            shares = np.bincount(labels, a[:, c] / size[labels])
+            out[:, c] = np.where(np.isfinite(out[:, c]), out[:, c], shares)
+        return out
     return ClusterSet(labels, size / ps.n, mean(ps.positions), mean(ps.features),
                       *_boxes(ps.features, *_label_runs(labels)), ps.features)
 

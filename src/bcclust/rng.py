@@ -6,9 +6,11 @@ splitmix64-style chain of multiply/xor finalizers over 64-bit counters.
 Subsets are drawn from a candidate pool (see bcclust.cells): the particle's
 own gated neighborhood, every other particle when the pool gates nothing, or
 the particle's component once a stochastic run's gate is frozen
-(bcclust.mfi).  Keyed draws with repeats skipped serve large pools and a keyed
-priority scan small ones, so a draw is a pure function of (seed, step,
-particle) given the step's pool.  A frozen run's component pool orders the
+(bcclust.mfi).  An exact pool, one range of N_i per particle, is drawn from by
+Floyd's M-subset algorithm in one pass.  A gated pool is drawn from by keyed
+draws with repeats skipped when it is large and by a keyed priority scan when
+it is small.  Either way a draw is a pure function of (seed, step, particle)
+given the step's pool.  A frozen run's component pool orders the
 candidates unlike the cell pool, so a run's draws depend on the step at which
 its freeze was first seen; their law does not, and a run stays a pure
 function of (seed, inputs).
@@ -30,8 +32,10 @@ _C_PART = _U(0xCA5A826395121157)
 _C_SLOT = _U(0x9E6C63D0876A9A63)
 _C_RETRY = _U(0xB5297A4D3BE87F81)
 _C_CAND = _U(0x8CB92BA72F3D8DD7)
+_LOW = _U(0xFFFFFFFF)
+_TWO32 = _U(1 << 32)
 
-# Pools of at most _ENUMERATE * M candidates are scanned whole, and so are
+# Gated pools of at most _ENUMERATE * M candidates are scanned whole, and so are
 # rows still short of M accepted partners after _ROUNDS rounds of keyed draws.
 _ENUMERATE = 4
 _ROUNDS = 4
@@ -67,19 +71,59 @@ def _particle_keys(seed: int, step: int, particles):
 
 
 def _bounded(keys, slots, bound):
-    """Uniform integers in [0, bound) keyed by (key, slot).  Exact via rejection.
+    """Uniform integers in [0, bound) keyed by (key, slot), for bound in
+    [1, 2**32): a positive integer or an array broadcasting against keys.
 
-    bound is a positive integer or an array broadcasting against keys.
+    Lemire's multiply-shift (ACM TOMACS 29(1), 2019): a uniform 32-bit word
+    x gives (x * bound) >> 32, exact once the words whose low 32 product bits
+    fall below 2**32 mod bound are rejected.  Only entries whose low bits
+    fall below bound can be, so the modulo is taken for those alone.  An
+    entry's words are the low, then the high half of its _fmix, then the
+    halves of its rehash, and so on.
     """
     with np.errstate(over="ignore"):
         raw = _fmix(keys ^ (slots + _U(1)) * _C_SLOT)
-        b = np.asarray(bound, dtype=np.uint64)
-        limit = ~((_U(0) - b) % b)  # 2**64 - (2**64 mod b) - 1: accept raw <= limit
-    bad = raw > limit
-    while bad.any():
-        raw = np.where(bad, _fmix(raw ^ _C_RETRY), raw)
-        bad = raw > limit
-    return raw % b
+    b = np.broadcast_to(np.asarray(bound, dtype=np.uint64), raw.shape)
+    m = (raw & _LOW) * b
+    near = np.flatnonzero((m & _LOW) < b)
+    if near.size:
+        bn, word, mn = b.flat[near], raw.flat[near], m.flat[near]
+        floor = (_TWO32 - bn) % bn
+        high = True
+        while (bad := (mn & _LOW) < floor).any():
+            if not high:
+                word = _fmix(word ^ _C_RETRY)
+            mn = np.where(bad, ((word >> _U(32)) if high else (word & _LOW)) * bn, mn)
+            high = not high
+        m.flat[near] = mn
+    return m >> _U(32)
+
+
+def _floyd(keys, M, pool, sel):
+    """Rows of an exact pool, one range per particle, (M, rows): Floyd's
+    M-subset algorithm (Bentley & Floyd, CACM 30(9), 1987) over the s
+    candidates of each row, its range less i.  Slot t draws r uniform on
+    0..j, j = s - M + t, keyed by (key, t), and keeps j instead when r is
+    already taken; that leaves a uniform M-subset after one pass.  A row of
+    s <= M takes its whole range less i in pool order, then -1 padding."""
+    lo, hi = pool.lo[sel, 0], pool.hi[sel, 0]
+    size = hi - lo - 1
+    me = pool.rank[sel] - lo
+    t = np.arange(M)[:, None]
+    j = size - M + t
+    # rows of s <= M draw with bound 1 here and are filled below
+    r = _bounded(keys, t.astype(np.uint64), np.maximum(j + 1, 1)).view(np.int64)
+    for u in range(1, M):
+        np.copyto(r[u], j[u], where=(r[:u] == r[u]).any(axis=0))
+    few = np.flatnonzero(size <= M)
+    if few.size:
+        r[:, few] = np.where(t < size[few], t, -1)
+    pad = r < 0
+    r += r >= me
+    r += lo
+    out = pool.order[r]
+    out[pad] = -1
+    return out
 
 
 def _repeats(c, tail):
@@ -119,27 +163,32 @@ class RngStream:
         state, or all of N_i \\ {i} followed by -1 padding when that holds M
         or fewer.  So particle i's row does not depend on which other rows
         are drawn.  The pool of a spec that gates nothing holds every
-        particle, so its rows are M-subsets of {0..n-1} \\ {i}.
+        particle, so its rows are M-subsets of {0..n-1} \\ {i}.  Draws take
+        32-bit words, so n must be below 2**32.
         """
         n = len(pool.order)
         if not 1 <= M <= n - 1:
             raise ConfigError(f"subset size M={M} is below 1 or exceeds the "
                               f"{n - 1} other particles")
+        if n >= 1 << 32:
+            raise ConfigError(f"subset draws take at most 2**32 - 1 particles, got {n}")
         particles = np.arange(n) if rows is None else rows
         keys = _particle_keys(self.seed, step, particles)
         per = max(1, _BLOCK // M)
-        # slices of a whole draw index the pool's arrays without a copy
-        parts = [self._from_pool(keys[a:a + per], M, pool, particles[a:a + per],
-                                 slice(a, a + per) if rows is None else particles[a:a + per])
-                 for a in range(0, particles.size, per)]
+        parts = []
+        for a in range(0, particles.size, per):
+            # slices of a whole draw index the pool's arrays without a copy
+            sel = slice(a, a + per) if rows is None else particles[a:a + per]
+            parts.append(_floyd(keys[a:a + per], M, pool, sel) if pool.exact else
+                         self._from_pool(keys[a:a + per], M, pool, particles[a:a + per], sel))
         return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
 
     def _from_pool(self, keys, M, pool, particles, sel):
-        # A row's candidates are its pool less i, numbered 0..size-1 in pool
-        # order.  Keyed draws with replacement, with repeats skipped, visit
-        # them in uniformly random order; the first M that pass the gate are
-        # a uniform M-subset of N_i \ {i}.  Round a draws the next M * 2**a
-        # slots, for the rows still short of M.
+        # Rows of a gated pool.  A row's candidates are its pool less i,
+        # numbered 0..size-1 in pool order.  Keyed draws with replacement,
+        # with repeats skipped, visit them in uniformly random order; the
+        # first M that pass the gate are a uniform M-subset of N_i \ {i}.
+        # Round a draws the next M * 2**a slots, for the rows still short of M.
         # Arrays are laid out (slot, row): each slot is one contiguous vector.
         # sel indexes the particles drawn for in the pool's arrays.
         lo, hi = pool.lo[sel], pool.hi[sel]
@@ -166,9 +215,7 @@ class RngStream:
                 at += (v >= end[d, r - 1]) * (shift[d, r] - shift[d, r - 1])
             j = pool.order[at]
             seen = np.concatenate([seen, v]) if attempt else v
-            keep = ~_repeats(seen, K)
-            if not pool.exact:
-                keep &= pool.gate(particles[d], j)
+            keep = ~_repeats(seen, K) & pool.gate(particles[d], j)
             if attempt == 0:  # a row whose first M draws all count is done
                 whole = keep.all(axis=0)
                 out_d = np.where(whole, j, -1)
@@ -204,9 +251,7 @@ class RngStream:
         owner, at = _range_pairs(lo, hi)
         j = pool.order[at]
         i = particles[owner]
-        ok = j != i
-        if not pool.exact:
-            ok &= pool.gate(i, j)
+        ok = (j != i) & pool.gate(i, j)
         owner, j = owner[ok], j[ok]
         b = _U(max(1, (len(particles) - 1).bit_length()))
         with np.errstate(over="ignore"):

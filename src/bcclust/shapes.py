@@ -227,9 +227,12 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
     to this process (at most one per run); each worker holds one run at a
     time, so peak memory is that of one run per worker.  Results are taken in
     run order, so the output does not depend on how many workers there are.
-    Workers start from a fresh interpreter that imports the caller's main
-    module, so a script that calls sweep does so under
-    `if __name__ == "__main__":`.
+    Workers start by the platform's default method.  Where that is fork
+    (Linux before Python 3.14), they inherit this process with numpy and
+    bcclust already imported; the bundled OpenBLAS stops its threads around
+    a fork.  Under spawn or forkserver each worker starts a fresh interpreter
+    that imports the caller's main module, so a script that calls sweep does
+    so under `if __name__ == "__main__":`.
     """
     alphas = list(alphas)
     eps1_list = list(eps1_list)
@@ -251,13 +254,10 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
         rows = list(map(_run_cell, tasks))
     else:
         # Imported here: bcclust.cli imports this module, and a fresh import
-        # of the process pool would add to every command's start-up.  Workers
-        # are spawned, not forked: this process may already run BLAS threads.
-        import multiprocessing
+        # of the process pool would add to every command's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_run_cell, tasks))
     cells = (rows[i:i + runs_per_cell] for i in range(0, len(rows), runs_per_cell))
     summary = []

@@ -492,6 +492,18 @@ class TestExtractClusters:
         np.testing.assert_allclose(cs.centers[0], pos.mean(axis=0))
         assert cs.weights[0] == 1.0
 
+    # components squares the 1.7e308 gap, which overflows to inf and so
+    # fails the gate as it should, but numpy warns
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_center_near_the_largest_double_is_finite(self):
+        """Members whose sum overflows still have a finite mean, and the
+        steady-state check runs on it."""
+        big = 1.7e308
+        spec = InteractionSpec(eps1=0.1)
+        cs = extract_clusters(ParticleSet([[big], [big], [0.0]]), 1e-9, spec)
+        assert cs.centers[:, 0].tolist() == [big, 0.0]
+        assert verify_steady_state(cs, spec).passed
+
     def test_feature_gate_splits_colocated_particles(self):
         pos = np.full((6, 1), 0.5)
         feat = np.array([[0.0]] * 3 + [[1.0]] * 3)

@@ -1,11 +1,13 @@
 """Counter-based subset sampling: determinism, validity, uniformity."""
 
 from dataclasses import replace
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, chisquare
 
 from bcclust.cells import candidate_pool, component_pool
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet, bbox_diameter
@@ -44,6 +46,13 @@ class TestSubsetValidity:
             RngStream(0).subsets(0, 5, whole_pool(5))
         with pytest.raises(ConfigError):
             RngStream(0).subsets(0, 0, whole_pool(5))
+
+    def test_n_beyond_32_bits_rejected(self):
+        """Draws take 32-bit words, so a pool of 2**32 particles is refused
+        before anything is drawn."""
+        pool = SimpleNamespace(order=np.broadcast_to(np.int64(0), (1 << 32,)))
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            RngStream(0).subsets(0, 10, pool)
 
     @pytest.mark.parametrize("M", [100, 150, 400])
     def test_large_M_rows_are_valid_subsets(self, M):
@@ -84,8 +93,8 @@ class TestDeterminism:
 
 class TestUniformity:
     def test_marginal_counts_are_flat(self):
-        """Each j != i should be sampled with probability M/(n-1).  The pool
-        of n-1 > 4M candidates is drawn from by keyed rounds."""
+        """Each j != i should be sampled with probability M/(n-1), from
+        the whole pool of n-1 > 4M candidates."""
         n, M, steps = 20, 4, 400
         s = RngStream(123)
         pool = whole_pool(n)
@@ -102,8 +111,7 @@ class TestUniformity:
         assert counts.diagonal().sum() == 0
 
     def test_large_M_path_uniformity(self):
-        """A pool of n-1 <= 4M candidates is scanned whole, and must stay
-        uniform too."""
+        """M = 7 of n - 1 = 9 candidates must stay uniform too."""
         n, M, steps = 10, 7, 600
         s = RngStream(7)
         pool = whole_pool(n)
@@ -116,6 +124,109 @@ class TestUniformity:
         off_diag = counts[~np.eye(n, dtype=bool)]
         sigma = np.sqrt(steps * (M / (n - 1)) * (1 - M / (n - 1)))
         assert np.all(np.abs(off_diag - expected) < 4.5 * sigma)
+
+
+class TestBounded:
+    def test_multiply_shift_rejects_its_bias(self):
+        """At bound 3 * 2**30 the plain multiply-shift of a 32-bit word gives
+        the multiples of 3 half the mass instead of a third; the rejection
+        of a quarter of the words, through both halves of the hash and its
+        rehash, removes that bias."""
+        bound = 3 << 30
+        keys = rng_module._particle_keys(9, 0, np.arange(60_000))
+        v = rng_module._bounded(keys, np.uint64(0), bound)
+        assert v.max() < bound
+        assert abs((v % 3 == 0).mean() - 1 / 3) < 0.01
+
+
+def exact_pools():
+    """Pools whose ranges are exactly N_i, 8 particles apiece, so that each
+    row holds s = 7 candidates: the whole pool, a 1D line pool of ten
+    clusters and a component pool of ten components."""
+    labels = np.repeat(np.arange(10), 8)
+    line = ParticleSet((labels + np.tile(np.arange(8) * 0.01, 10))[:, None])
+    return {"whole": whole_pool(8),
+            "line": candidate_pool(line, InteractionSpec(eps1=0.1, sigma_mode="stochastic")),
+            "component": component_pool(labels)}
+
+
+def gated_stars(copies=10):
+    """Ten stars 1.0 apart, each a center, 7 neighbors on a circle of radius
+    0.05 and 13 decoys near the corners of its box of side 0.2, at least
+    0.106 from it.  At eps1 = 0.1 a center's cell pool holds its 20 other
+    members but only the 7 neighbors pass the gate."""
+    ring = 0.05 * np.column_stack([np.cos(np.arange(7)), np.sin(np.arange(7))])
+    signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)] * 4)[:13]
+    decoys = signs * (0.075 + 0.0015 * np.arange(13))[:, None]
+    star = np.vstack([[0.0, 0.0], ring, decoys])
+    pos = np.vstack([star + [1.0 * c, 0.0] for c in range(copies)])
+    return ParticleSet(pos), np.arange(copies) * len(star)
+
+
+class TestJointLaw:
+    """Each row is a uniform M-subset of N_i \\ {i}: all C(7, 3) subsets of
+    a row's 7 candidates are drawn equally often.  A draw whose marginals
+    are flat but whose subsets are not, say a run of consecutive
+    candidates from a uniform start, can pass a marginal test; it fails
+    this one."""
+
+    M, STEPS = 3, 400
+
+    def assert_uniform_subsets(self, pool, neighbors_of, rows):
+        subsets = {c: k for k, c in enumerate(combinations(range(7), self.M))}
+        counts = np.zeros(len(subsets))
+        s = RngStream(31)
+        for step in range(self.STEPS):
+            drawn = s.subsets(step, self.M, pool)
+            for i in rows:
+                nb = neighbors_of(i)
+                picked = drawn[i].tolist()
+                assert len(set(picked)) == self.M and set(picked) <= set(nb)
+                counts[subsets[tuple(sorted(nb.index(j) for j in picked))]] += 1
+        assert chisquare(counts).pvalue > 1e-6
+
+    @pytest.mark.parametrize("kind", ["whole", "line", "component"])
+    def test_exact_pool(self, kind):
+        pool = exact_pools()[kind]
+        n = len(pool.order)
+        self.assert_uniform_subsets(
+            pool, lambda i: [j for j in range(8 * (i // 8), 8 * (i // 8) + 8) if j != i],
+            range(n))
+
+    def test_gated_cell_pool(self):
+        ps, centers = gated_stars()
+        spec = InteractionSpec(eps1=0.1, sigma_mode="stochastic")
+        pool = candidate_pool(ps, spec)
+        assert not pool.exact
+        assert ((pool.hi - pool.lo).sum(axis=1)[centers] == 21).all()
+        self.assert_uniform_subsets(pool, lambda i: sorted(neighbors(ps, spec, i)), centers)
+
+
+class TestExactPoolsDrawInOnePass:
+    @pytest.mark.parametrize("M", [1, 3, 7, 9])
+    def test_no_repeat_check_and_no_scan(self, monkeypatch, M):
+        """Exact pools, rows of s > M and of s <= M alike, never reach the
+        gated pools' repeat check or scan; a gated pool does."""
+        calls = []
+        repeats, scan = rng_module._repeats, RngStream._scan_pool
+        monkeypatch.setattr(rng_module, "_repeats",
+                            lambda *a: calls.append("repeats") or repeats(*a))
+        monkeypatch.setattr(RngStream, "_scan_pool",
+                            staticmethod(lambda *a: calls.append("scan") or scan(*a)))
+        pools = exact_pools()
+        rng = np.random.default_rng(2)
+        feat = ParticleSet(rng.uniform(0, 1, (60, 2)), rng.uniform(0, 1, (60, 1)))
+        pools["feature line"] = candidate_pool(
+            feat, InteractionSpec(eps1=2.0, eps2=0.1, sigma_mode="stochastic"))
+        for name, pool in pools.items():
+            assert pool.exact, name
+            RngStream(4).subsets(0, min(M, len(pool.order) - 1), pool)
+        assert calls == []
+        ps, _ = gated_stars(2)
+        gated = candidate_pool(ps, InteractionSpec(eps1=0.1))
+        RngStream(4).subsets(0, 3, gated)  # a star's center: 20 > 4 * 3 candidates
+        RngStream(4).subsets(0, 7, gated)  # every row: at most 4 * 7 candidates
+        assert set(calls) == {"repeats", "scan"}
 
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
@@ -216,8 +327,8 @@ class TestNeighborhoodSubsets:
     def test_marginal_counts_are_flat(self, n, d1, eps1):
         """Each j in N_i \\ {i} is sampled with probability M/|N_i \\ {i}|.
 
-        The cases cover exact 1D pools drawn by keyed draws, pools small
-        enough to be scanned, and 2D pools whose corners the gate rejects.
+        The cases cover exact 1D pools, large and small against 4M, and 2D
+        pools whose corners the gate rejects.
         """
         ps = ParticleSet(np.random.default_rng(n).uniform(0, 1, (n, d1)))
         spec = InteractionSpec(eps1=eps1, sigma_mode="stochastic")

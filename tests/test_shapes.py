@@ -291,6 +291,24 @@ class TestSweep:
         for a, b in zip(one.rows, two.rows):
             np.testing.assert_array_equal(a.centers, b.centers)
 
+    def test_workers_started_after_blas_ran_match_one_worker(self, monkeypatch):
+        """Workers start by the platform's default method, fork on Linux,
+        from a process whose BLAS has already run: a two-worker sweep warns
+        nothing and gives the rows of a one-worker sweep, centers included."""
+        a = np.random.default_rng(0).uniform(size=(200, 200))
+        assert np.isfinite(a @ a).all()
+        pat = generate_letter_A(150)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(shapes, "_worker_count", lambda n, w=workers: w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results.append(sweep(pat, [0.05], [0.1, 0.2], 2, master_seed=8, t_final=3.0))
+        one, two = results
+        assert one.rows == two.rows
+        for a, b in zip(one.rows, two.rows):
+            np.testing.assert_array_equal(a.centers, b.centers)
+
     @pytest.mark.parametrize("merge_tol", [np.nan, 0.0, -1.0])
     def test_merge_tol_checked_before_any_run(self, monkeypatch, merge_tol):
         monkeypatch.setattr(shapes, "_worker_count", lambda n: 1)
