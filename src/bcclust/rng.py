@@ -32,8 +32,6 @@ _C_PART = _U(0xCA5A826395121157)
 _C_SLOT = _U(0x9E6C63D0876A9A63)
 _C_RETRY = _U(0xB5297A4D3BE87F81)
 _C_CAND = _U(0x8CB92BA72F3D8DD7)
-_LOW = _U(0xFFFFFFFF)
-_TWO32 = _U(1 << 32)
 
 # Gated pools of at most _ENUMERATE * M candidates are scanned whole, and so are
 # rows still short of M accepted partners after _ROUNDS rounds of keyed draws.
@@ -71,32 +69,23 @@ def _particle_keys(seed: int, step: int, particles):
 
 
 def _bounded(keys, slots, bound):
-    """Uniform integers in [0, bound) keyed by (key, slot), for bound in
-    [1, 2**32): a positive integer or an array broadcasting against keys.
+    """Uniform integers in [0, bound) keyed by (key, slot).  Exact via rejection.
 
-    Lemire's multiply-shift (ACM TOMACS 29(1), 2019): a uniform 32-bit word
-    x gives (x * bound) >> 32, exact once the words whose low 32 product bits
-    fall below 2**32 mod bound are rejected.  Only entries whose low bits
-    fall below bound can be, so the modulo is taken for those alone.  An
-    entry's words are the low, then the high half of its _fmix, then the
-    halves of its rehash, and so on.
+    bound is a positive integer or an array broadcasting against keys.
     """
     with np.errstate(over="ignore"):
         raw = _fmix(keys ^ (slots + _U(1)) * _C_SLOT)
-    b = np.broadcast_to(np.asarray(bound, dtype=np.uint64), raw.shape)
-    m = (raw & _LOW) * b
-    near = np.flatnonzero((m & _LOW) < b)
-    if near.size:
-        bn, word, mn = b.flat[near], raw.flat[near], m.flat[near]
-        floor = (_TWO32 - bn) % bn
-        high = True
-        while (bad := (mn & _LOW) < floor).any():
-            if not high:
-                word = _fmix(word ^ _C_RETRY)
-            mn = np.where(bad, ((word >> _U(32)) if high else (word & _LOW)) * bn, mn)
-            high = not high
-        m.flat[near] = mn
-    return m >> _U(32)
+        b = np.broadcast_to(np.asarray(bound, dtype=np.uint64), raw.shape)
+        # raw is accepted up to 2**64 - (2**64 mod b) - 1, which is at least
+        # ~b = 2**64 - b - 1, so the limit is computed for raw above ~b alone
+        near = np.flatnonzero(raw > ~b)
+        if near.size:
+            bn, w = b.flat[near], raw.flat[near]
+            limit = ~((_U(0) - bn) % bn)
+            while (bad := w > limit).any():
+                w = np.where(bad, _fmix(w ^ _C_RETRY), w)
+            raw.flat[near] = w
+    return raw % b
 
 
 def _floyd(keys, M, pool, sel):
@@ -104,8 +93,10 @@ def _floyd(keys, M, pool, sel):
     M-subset algorithm (Bentley & Floyd, CACM 30(9), 1987) over the s
     candidates of each row, its range less i.  Slot t draws r uniform on
     0..j, j = s - M + t, keyed by (key, t), and keeps j instead when r is
-    already taken; that leaves a uniform M-subset after one pass.  A row of
-    s <= M takes its whole range less i in pool order, then -1 padding."""
+    already taken; that leaves a uniform M-subset after one pass.  The
+    membership test compares each slot with the slots before it, so it is
+    O(M**2) per row.  A row of s <= M takes its whole range less i in pool
+    order, then -1 padding."""
     lo, hi = pool.lo[sel, 0], pool.hi[sel, 0]
     size = hi - lo - 1
     me = pool.rank[sel] - lo
@@ -163,15 +154,12 @@ class RngStream:
         state, or all of N_i \\ {i} followed by -1 padding when that holds M
         or fewer.  So particle i's row does not depend on which other rows
         are drawn.  The pool of a spec that gates nothing holds every
-        particle, so its rows are M-subsets of {0..n-1} \\ {i}.  Draws take
-        32-bit words, so n must be below 2**32.
+        particle, so its rows are M-subsets of {0..n-1} \\ {i}.
         """
         n = len(pool.order)
         if not 1 <= M <= n - 1:
             raise ConfigError(f"subset size M={M} is below 1 or exceeds the "
                               f"{n - 1} other particles")
-        if n >= 1 << 32:
-            raise ConfigError(f"subset draws take at most 2**32 - 1 particles, got {n}")
         particles = np.arange(n) if rows is None else rows
         keys = _particle_keys(self.seed, step, particles)
         per = max(1, _BLOCK // M)

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,13 +45,6 @@ class TestSubsetValidity:
             RngStream(0).subsets(0, 5, whole_pool(5))
         with pytest.raises(ConfigError):
             RngStream(0).subsets(0, 0, whole_pool(5))
-
-    def test_n_beyond_32_bits_rejected(self):
-        """Draws take 32-bit words, so a pool of 2**32 particles is refused
-        before anything is drawn."""
-        pool = SimpleNamespace(order=np.broadcast_to(np.int64(0), (1 << 32,)))
-        with pytest.raises(ConfigError, match="2\\*\\*32"):
-            RngStream(0).subsets(0, 10, pool)
 
     @pytest.mark.parametrize("M", [100, 150, 400])
     def test_large_M_rows_are_valid_subsets(self, M):
@@ -127,16 +119,16 @@ class TestUniformity:
 
 
 class TestBounded:
-    def test_multiply_shift_rejects_its_bias(self):
-        """At bound 3 * 2**30 the plain multiply-shift of a 32-bit word gives
-        the multiples of 3 half the mass instead of a third; the rejection
-        of a quarter of the words, through both halves of the hash and its
-        rehash, removes that bias."""
-        bound = 3 << 30
+    def test_modulo_rejects_its_bias(self):
+        """At bound 3 * 2**62 the plain modulo of a 64-bit hash gives the
+        values below bound / 3 half the mass instead of a third; rejecting
+        the quarter of hashes above the limit, and rehashing them, removes
+        that bias."""
+        bound = 3 << 62
         keys = rng_module._particle_keys(9, 0, np.arange(60_000))
         v = rng_module._bounded(keys, np.uint64(0), bound)
         assert v.max() < bound
-        assert abs((v % 3 == 0).mean() - 1 / 3) < 0.01
+        assert abs((v < bound // 3).mean() - 1 / 3) < 0.01
 
 
 def exact_pools():

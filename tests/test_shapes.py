@@ -1,9 +1,11 @@
 """Pattern sampling, noise injection, detection error, sweep plumbing."""
 
 import os
+import threading
 import time
 import tracemalloc
 import warnings
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -292,9 +294,10 @@ class TestSweep:
             np.testing.assert_array_equal(a.centers, b.centers)
 
     def test_workers_started_after_blas_ran_match_one_worker(self, monkeypatch):
-        """Workers start by the platform's default method, fork on Linux,
-        from a process whose BLAS has already run: a two-worker sweep warns
-        nothing and gives the rows of a one-worker sweep, centers included."""
+        """Workers start by the platform's default method, fork on Linux
+        before Python 3.14, from a process whose BLAS has already run: a
+        two-worker sweep warns nothing and gives the rows of a one-worker
+        sweep, centers included."""
         a = np.random.default_rng(0).uniform(size=(200, 200))
         assert np.isfinite(a @ a).all()
         pat = generate_letter_A(150)
@@ -307,6 +310,35 @@ class TestSweep:
         one, two = results
         assert one.rows == two.rows
         for a, b in zip(one.rows, two.rows):
+            np.testing.assert_array_equal(a.centers, b.centers)
+
+    def test_workers_spawn_while_another_thread_runs(self, monkeypatch):
+        """A forked child would hold only the forking thread, so a sweep
+        called while another Python thread runs spawns its workers; called
+        from one thread, it takes the platform's default method.  Both give
+        the same rows."""
+        methods = []
+        pool_type = futures.ProcessPoolExecutor
+
+        def recording(*args, mp_context=None, **kwargs):
+            methods.append(mp_context and mp_context.get_start_method())
+            return pool_type(*args, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(shapes, "_worker_count", lambda n: 2)
+        pat = generate_letter_A(150)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            threaded = sweep(pat, [0.05], [0.1, 0.2], 2, master_seed=8, t_final=3.0)
+        finally:
+            stop.set()
+            other.join()
+        alone = sweep(pat, [0.05], [0.1, 0.2], 2, master_seed=8, t_final=3.0)
+        assert methods == ["spawn", None]
+        assert threaded.rows == alone.rows
+        for a, b in zip(threaded.rows, alone.rows):
             np.testing.assert_array_equal(a.centers, b.centers)
 
     @pytest.mark.parametrize("merge_tol", [np.nan, 0.0, -1.0])
