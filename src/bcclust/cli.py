@@ -133,19 +133,23 @@ def cmd_simulate(p: dict) -> None:
     merge_tol = (default_merge_tol(ps0, spec) if p["merge_tol"] is None
                  else _check_merge_tol(p["merge_tol"]))
     if p["method"] == "euler":
-        tr = simulate(ps0, spec, IntegratorConfig(p["dt"], p["t_final"],
-                                                  p["stop_tol"], p["record_every"]))
+        run = simulate
+        cfg = IntegratorConfig(p["dt"], p["t_final"], p["stop_tol"], p["record_every"])
     else:
-        tr = mfi_simulate(ps0, spec, MfiConfig(p["M"], p["dt"], p["t_final"],
-                                               p["seed"], p["record_every"]))
-    cs = extract_clusters(tr.final, merge_tol, spec)
-    report = verify_steady_state(cs, spec)
-    bio.write_trajectory_csv(_out(p, "trajectory.csv"), tr, ps0.features)
-    bio.write_moments_csv(_out(p, "moments.csv"), tr.moments)
-    bio.write_clusters_csv(_out(p, "clusters.csv"), cs)
-    bio.write_steady_state_csv(_out(p, "steady_state.csv"), report)
-    if ps0.d1 <= 2:
-        bio.write_density_csv(_out(p, "density.csv"), tr, p["bins"])
+        run = mfi_simulate
+        cfg = MfiConfig(p["M"], p["dt"], p["t_final"], p["seed"], p["record_every"])
+    # The snapshots go to a writer process forked here, before the first
+    # step, which writes them while the run steps and the small tables are
+    # written (see io.SnapshotSink).
+    density = _out(p, "density.csv") if ps0.d1 <= 2 else None
+    with bio.SnapshotSink(ps0.positions.shape, ps0.features, _out(p, "trajectory.csv"),
+                          density, p["bins"]) as sink:
+        tr = run(ps0, spec, cfg, sink)
+        cs = extract_clusters(tr.final, merge_tol, spec)
+        report = verify_steady_state(cs, spec)
+        bio.write_moments_csv(_out(p, "moments.csv"), tr.moments)
+        bio.write_clusters_csv(_out(p, "clusters.csv"), cs)
+        bio.write_steady_state_csv(_out(p, "steady_state.csv"), report)
     print(f"{cs.n_clusters} clusters; steady state "
           f"{'PASS' if report.passed else 'FAIL'}; outputs in {p['out_dir']}")
 

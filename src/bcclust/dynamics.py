@@ -76,7 +76,12 @@ def _end_state_only(cfg):
 
 @dataclass
 class Trajectory:
-    snapshots: list  # (t, read-only positions), strictly increasing times
+    """A run's record.  snapshots holds its recorded states as (t, read-only
+    positions), in strictly increasing times, when the run kept them; a run
+    given a sink hands each state to the sink instead and keeps none, so
+    snapshots is then empty.  moments and final are kept either way."""
+
+    snapshots: list
     moments: MomentRecord
     final: ParticleSet  # the end state, with its features and t
     terminated_early: bool = False
@@ -200,14 +205,21 @@ def euler_step(ps: ParticleSet, spec: InteractionSpec, dt: float,
     return ps.with_positions(x_new, ps.t + dt)
 
 
-def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
+def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None, sink=None):
     """Shared driver for the deterministic and Monte Carlo integrators.
 
     With stop_tol set, the run ends once the max per-step displacement drops
-    below it; with None it always runs to cfg.t_final.
+    below it; with None it always runs to cfg.t_final.  The initial state,
+    every cfg.record_every-th step and the end state are recorded: their
+    moments are kept, and each (t, positions) goes to sink(t, positions) as
+    it is taken, or, with no sink, to Trajectory.snapshots.  With a sink the
+    run holds one state at a time, O(n) memory rather than O(n * steps).
     """
+    snapshots = []
     record = MomentRecord.from_snapshot(ps0)
-    snapshots = [(ps0.t, ps0.positions)]
+    put = sink if sink is not None else (lambda t, x: snapshots.append((t, x)))
+    put(ps0.t, ps0.positions)
+    last_t = ps0.t
     ps = ps0
     terminated = False
     reason = None
@@ -218,32 +230,36 @@ def _run(ps0, spec, cfg, step_fn, metadata, stop_tol=None):
             max_disp = float(disp.max())
         ps = nxt
         if (k + 1) % cfg.record_every == 0:
-            snapshots.append((ps.t, ps.positions))
+            put(ps.t, ps.positions)
+            last_t = ps.t
             record.append(ps)
         if stop_tol is not None and max_disp < stop_tol:
             terminated = True
             reason = f"max displacement {max_disp:.3e} below stop_tol at t={ps.t:g}"
             break
-    if snapshots[-1][0] != ps.t:
-        snapshots.append((ps.t, ps.positions))
+    if last_t != ps.t:
+        put(ps.t, ps.positions)
         record.append(ps)
     return Trajectory(snapshots, record, ps, terminated, reason, metadata)
 
 
-def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig) -> Trajectory:
+def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig,
+             sink=None) -> Trajectory:
     """Iterate euler_step to t_final (or early stop), recording snapshots and moments.
 
     The static-feature blocks (see _feature_blocks) are found once, before
     the first step, and nothing else is kept for the run.  A step then gates
     the |C|(|C|+1)/2 unordered pairs of each block C that has not collapsed
     within eps1, in tiles of the upper triangle, and costs O(|C|) for each
-    one that has.
+    one that has.  sink, if given, takes each recorded (t, positions) as the
+    run goes, and Trajectory.snapshots stays empty (see _run); the simulate
+    command passes io.SnapshotSink, which writes them from a forked process.
     """
     meta = {"method": "euler", "dt": cfg.dt, "t_final": cfg.t_final,
             "sigma_mode": spec.sigma_mode}
     blocks = _feature_blocks(ps0, spec)
     return _run(ps0, spec, cfg, lambda ps, k: euler_step(ps, spec, cfg.dt, blocks), meta,
-                cfg.stop_tol)
+                cfg.stop_tol, sink)
 
 
 def default_merge_tol(ps: ParticleSet, spec: InteractionSpec) -> float:
@@ -319,9 +335,11 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     centers, fmin, fmax = cs.centers, cs.feature_min, cs.feature_max
     def box_gap(i, k):
         # componentwise interval gaps lower-bound the member gap, and equal
-        # it when both clusters' features are single points
-        return _power_sum(np.maximum(0.0, np.maximum(
-            fmin[i] - fmax[k], fmin[k] - fmax[i])).T, spec.norm2)
+        # it when both clusters' features are single points; one past the
+        # largest double is inf, which fails every eps2
+        with np.errstate(over="ignore"):
+            return _power_sum(np.maximum(0.0, np.maximum(
+                fmin[i] - fmax[k], fmin[k] - fmax[i])).T, spec.norm2)
     pool = candidate_pool(ParticleSet(centers), InteractionSpec(spec.eps1, norm1=spec.norm1))
     keys = []
     for rows in _row_batches((pool.hi - pool.lo).sum(axis=1)):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import gc
 import math
 import os
 import re
@@ -29,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .model import ClusteringError, ConfigError, ParticleSet
+from .model import ClusteringError, ConfigError, ParticleSet, _may_fork
 
 @contextlib.contextmanager
 def _atomic_open(path, binary: bool = False):
@@ -228,27 +229,32 @@ def _columns(rows, kinds: str) -> list:
 
 
 def _write_rows(path, header, blocks) -> None:
-    """The header line, then the rows of each block, a list of uint8 field
-    arrays of one row each per table row (or one row, repeated), each field
-    starting with ',' and padded with NUL bytes.  A block is assembled in
-    one array, where the ',' of a row's first field becomes the '\n'
-    ending the row before, and written with its NULs dropped; a repeated
-    row is stripped of them once, before it is copied."""
+    """The header line, then the rows of each block (see _write_blocks)."""
     with _atomic_open(path, binary=True) as fh:
         fh.write(",".join(header).encode())
-        for parts in blocks:
-            parts = [p[:, p[0] != 0] if len(p) == 1 else p for p in parts]
-            rows = max(len(p) for p in parts)
-            width = sum(p.shape[1] for p in parts)
-            block = np.empty((rows, width), np.uint8)
-            c = 0
-            for p in parts:
-                block[:, c:c + p.shape[1]] = p
-                c += p.shape[1]
-            block[:, 0] = ord("\n")
-            flat = block.reshape(-1)
-            fh.write(flat[flat != 0])
+        _write_blocks(fh, blocks)
         fh.write(b"\n")
+
+
+def _write_blocks(fh, blocks) -> None:
+    """The rows of each block, a list of uint8 field arrays of one row each
+    per table row (or one row, repeated), each field starting with ',' and
+    padded with NUL bytes.  A block is assembled in one array, where the ','
+    of a row's first field becomes the '\n' ending the row before (the
+    header, or the last row written), and written with its NULs dropped; a
+    repeated row is stripped of them once, before it is copied."""
+    for parts in blocks:
+        parts = [p[:, p[0] != 0] if len(p) == 1 else p for p in parts]
+        rows = max(len(p) for p in parts)
+        width = sum(p.shape[1] for p in parts)
+        block = np.empty((rows, width), np.uint8)
+        c = 0
+        for p in parts:
+            block[:, c:c + p.shape[1]] = p
+            c += p.shape[1]
+        block[:, 0] = ord("\n")
+        flat = block.reshape(-1)
+        fh.write(flat[flat != 0])
 
 
 def _read_table(path, *prefixes):
@@ -275,23 +281,99 @@ def _read_table(path, *prefixes):
     return arr, counts
 
 
-# -- trajectory ---------------------------------------------------------------
+# -- trajectory and density: snapshot writers -------------------------------
 
-def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
-    """Rows (t, i, x_1..x_d1, c_1..c_d2) for every snapshot."""
-    n, d1 = tr.snapshots[0][1].shape
-    d2 = features.shape[1]
+def _trajectory_table(shape, features: np.ndarray):
+    """The header of trajectory.csv, rows (t, i, x_1..x_d1, c_1..c_d2), and
+    its blocks(t, positions) for one snapshot, t as its field."""
+    n, d1 = shape
     header = (["t", "i"] + [f"x_{k + 1}" for k in range(d1)]
-              + [f"c_{k + 1}" for k in range(d2)])
+              + [f"c_{k + 1}" for k in range(features.shape[1])])
     index, feats = _int_fields(np.arange(n)), _float_fields(features)
     chunk = max(1, _CHUNK // d1)
-    times = _float_fields([t for t, _ in tr.snapshots])
-    def blocks():
-        for k, (_, pos) in enumerate(tr.snapshots):
-            for r in range(0, n, chunk):
-                yield [times[k:k + 1], index[r:r + chunk],
-                       _float_fields(pos[r:r + chunk]), feats[r:r + chunk]]
-    _write_rows(path, header, blocks())
+    def blocks(t, pos):
+        for r in range(0, n, chunk):
+            yield [t, index[r:r + chunk], _float_fields(pos[r:r + chunk]), feats[r:r + chunk]]
+    return header, blocks
+
+
+def _density_table(shape, bins: int):
+    """The header of density.csv and its blocks(t, positions) for one
+    snapshot: the position histogram on the unit box [0, 1]^d1, d1 in
+    {1, 2}, with bins bins per axis.  Only positions inside the box are
+    counted (the last bin includes 1), so a snapshot's counts sum to n only
+    when every particle lies in the box.  Rows are (t, bin, x_center, count)
+    in 1D and (t, bin_x, bin_y, x_center, y_center, count) in 2D, bin_y
+    varying fastest."""
+    n, d1 = shape
+    if d1 not in (1, 2):
+        raise ConfigError("density histograms support d1 in {1, 2}")
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    centers = _float_fields((edges[:-1] + edges[1:]) / 2)
+    b = np.arange(bins)
+    if d1 == 1:
+        header = ["t", "bin", "x_center", "count"]
+        prefix = np.hstack([_int_fields(b), centers])
+        def counts(pos):
+            return np.histogram(pos[:, 0], bins=edges)[0]
+    else:
+        header = ["t", "bin_x", "bin_y", "x_center", "y_center", "count"]
+        bx, by = np.repeat(b, bins), np.tile(b, bins)
+        prefix = np.hstack([_int_fields(bx), _int_fields(by), centers[bx], centers[by]])
+        def counts(pos):
+            return np.histogram2d(pos[:, 0], pos[:, 1],
+                                  bins=(edges, edges))[0].astype(np.int64).ravel()
+    count_text = _int_fields(np.arange(n + 1))
+    def blocks(t, pos):
+        c = counts(pos)
+        for r in range(0, c.size, _CHUNK):
+            yield [t, prefix[r:r + _CHUNK], count_text[c[r:r + _CHUNK]]]
+    return header, blocks
+
+
+@contextlib.contextmanager
+def snapshot_writer(shape, features, trajectory=None, density=None, bins: int = 100):
+    """A function write(t, positions) that appends one snapshot of an
+    n-particle set, positions of shape (n, d1), to trajectory.csv (see
+    _trajectory_table; features are the static features) and density.csv
+    (see _density_table), each written through _atomic_open when its path
+    is given.
+
+    Leaving the with block normally is the end record: the last rows are
+    ended and both files renamed in place.  Leaving it by an exception
+    removes both temp files.  Counts are taken per snapshot and no snapshot
+    is kept.  This is the one formatting path of both tables, for the
+    simulate command's SnapshotSink and for the writers below.
+    """
+    # density is opened first and so renamed last: a failed rename of the
+    # trajectory removes the density table's temp file too
+    tables = []
+    if density is not None:
+        tables.append((density, *_density_table(shape, bins)))
+    if trajectory is not None:
+        tables.append((trajectory, *_trajectory_table(shape, features)))
+    with contextlib.ExitStack() as files:
+        outs = []
+        for path, header, blocks in tables:
+            fh = files.enter_context(_atomic_open(path, binary=True))
+            fh.write(",".join(header).encode())
+            outs.append((fh, blocks))
+
+        def write(t, positions) -> None:
+            t = _float_fields([t])
+            for fh, blocks in outs:
+                _write_blocks(fh, blocks(t, positions))
+        yield write
+        for fh, _ in outs:
+            fh.write(b"\n")
+
+
+def write_trajectory_csv(path, tr, features: np.ndarray) -> None:
+    """Rows (t, i, x_1..x_d1, c_1..c_d2) for every snapshot of tr, a run
+    that kept them (see snapshot_writer)."""
+    with snapshot_writer(tr.snapshots[0][1].shape, features, trajectory=path) as write:
+        for t, pos in tr.snapshots:
+            write(t, pos)
 
 
 def read_trajectory_csv(path):
@@ -365,40 +447,122 @@ def write_steady_state_csv(path, report) -> None:
 # -- density histograms -------------------------------------------------------
 
 def write_density_csv(path, tr, bins: int) -> None:
-    """Per-snapshot position histogram on the unit box [0, 1]^d, d in {1, 2}.
+    """Per-snapshot position histogram on the unit box [0, 1]^d, d in {1, 2},
+    for every snapshot of tr, a run that kept them (see _density_table)."""
+    shape = tr.snapshots[0][1].shape
+    with snapshot_writer(shape, None, density=path, bins=bins) as write:
+        for t, pos in tr.snapshots:
+            write(t, pos)
 
-    Only positions inside the box are counted (the last bin includes 1); a
-    snapshot's counts sum to n only when every particle lies in the box.
-    Rows are (t, bin, x_center, count) in 1D and
-    (t, bin_x, bin_y, x_center, y_center, count) in 2D, bin_y varying fastest.
+
+# -- a run's sink: the snapshot writer, forked --------------------------------
+
+_PIPE_BYTES = 2**20  # the pipe holds several snapshots of a 20,000-particle run
+
+
+class SnapshotSink:
+    """The sink of a run (see dynamics._run) that writes trajectory.csv and,
+    with density set, density.csv through one snapshot_writer, with its
+    arguments.
+
+    Entering the sink forks a writer process, where model._may_fork allows
+    it.  The run then sends each snapshot's raw float64 rows over a pipe,
+    and the writer formats and writes them while the run steps, so that on
+    two CPUs the writing overlaps the run.  Where it may not fork, the sink
+    calls snapshot_writer in this process, which gives the same bytes
+    without the overlap.  Fork before the run starts: the child then shares
+    a small heap.
+
+    Leaving the with block normally is the end record: the files are renamed
+    in place once the writer has written every snapshot, and a writer that
+    failed (or a pipe that broke) raises ClusteringError with its message.
+    Leaving it by an exception closes the pipe without an end record: the
+    writer removes its temp files and exits, and is reaped, before the
+    exception goes on.  The writer ends with os._exit, so it never returns
+    to the caller's code.
     """
-    n, d1 = tr.snapshots[0][1].shape
-    if d1 not in (1, 2):
-        raise ConfigError("density histograms support d1 in {1, 2}")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    centers = _float_fields((edges[:-1] + edges[1:]) / 2)
-    b = np.arange(bins)
-    if d1 == 1:
-        header = ["t", "bin", "x_center", "count"]
-        prefix = np.hstack([_int_fields(b), centers])
-        def counts(pos):
-            return np.histogram(pos[:, 0], bins=edges)[0]
-    else:
-        header = ["t", "bin_x", "bin_y", "x_center", "y_center", "count"]
-        bx, by = np.repeat(b, bins), np.tile(b, bins)
-        prefix = np.hstack([_int_fields(bx), _int_fields(by),
-                            centers[bx], centers[by]])
-        def counts(pos):
-            return np.histogram2d(pos[:, 0], pos[:, 1],
-                                  bins=(edges, edges))[0].astype(np.int64).ravel()
-    count_text = _int_fields(np.arange(n + 1))
-    times = _float_fields([t for t, _ in tr.snapshots])
-    def blocks():
-        for k, (_, pos) in enumerate(tr.snapshots):
-            c = counts(pos)
-            for r in range(0, c.size, _CHUNK):
-                yield [times[k:k + 1], prefix[r:r + _CHUNK], count_text[c[r:r + _CHUNK]]]
-    _write_rows(path, header, blocks())
+
+    def __init__(self, shape, features: np.ndarray, trajectory, density=None,
+                 bins: int = 100):
+        self._args = (shape, features, trajectory, density, bins)
+        self._pid = None
+
+    def __enter__(self):
+        if not _may_fork():
+            self._local = snapshot_writer(*self._args)
+            self._put = self._local.__enter__()
+            return self
+        data_r, data_w = os.pipe()
+        status_r, status_w = os.pipe()
+        import fcntl  # POSIX only, as fork is
+        try:
+            fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):  # not Linux, or a lower pipe-max-size
+            pass
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (data_r, data_w, status_r, status_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(data_w)
+            os.close(status_r)
+            _write_from_pipe(data_r, status_w, self._args)
+        os.close(data_r)
+        os.close(status_w)
+        self._pid, self._status = pid, status_r
+        self._pipe = os.fdopen(data_w, "wb")
+        self._put = self._send
+        return self
+
+    def __call__(self, t, positions) -> None:
+        self._put(t, positions)
+
+    def _send(self, t, positions) -> None:
+        self._pipe.write(b"s" + np.float64(t).tobytes())
+        self._pipe.write(np.ascontiguousarray(positions, dtype=np.float64))
+
+    def __exit__(self, kind, exc, tb):
+        if self._pid is None:
+            return self._local.__exit__(kind, exc, tb)
+        try:
+            if kind is None:
+                self._pipe.write(b"e")
+            self._pipe.close()
+        except BrokenPipeError:  # the writer has gone; its status says why
+            pass
+        finally:
+            with os.fdopen(self._status, "rb") as fh:
+                message = fh.read().decode(errors="replace")
+            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        if code and (kind is None or issubclass(kind, BrokenPipeError)):
+            raise ClusteringError(f"snapshot writer: {message or f'exit code {code}'}")
+        return False
+
+
+def _write_from_pipe(data_fd: int, status_fd: int, args) -> None:
+    """The forked writer of a SnapshotSink: snapshot_writer(*args) fed from
+    the pipe, then os._exit, with status 0 only after the end record.  A
+    failure's message goes to status_fd.  Cyclic garbage collection is off:
+    a collection would touch, and so copy, every page it shares with the
+    parent."""
+    gc.disable()
+    code = 1
+    try:
+        shape = args[0]
+        buf = np.empty(1 + shape[0] * shape[1])  # t, then the positions
+        with os.fdopen(data_fd, "rb") as pipe, snapshot_writer(*args) as write:
+            while (tag := pipe.read(1)) == b"s" and pipe.readinto(buf) == buf.nbytes:
+                write(buf[0], buf[1:].reshape(shape))
+            if tag != b"e":
+                raise ClusteringError("the run ended before its last snapshot")
+        code = 0
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.write(status_fd, (str(exc) or type(exc).__name__).encode()[:4096])
+    finally:
+        os._exit(code)
 
 
 # -- shape sweeps -------------------------------------------------------------

@@ -167,16 +167,19 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
     return ps.with_positions(x_new, ps.t + cfg.dt)
 
 
-def mfi_simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: MfiConfig) -> Trajectory:
+def mfi_simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: MfiConfig,
+                 sink=None) -> Trajectory:
     """Run the subset algorithm to t_final, recording as the deterministic
-    integrator does.  There is no early stop: every run takes
-    round(t_final/dt) steps.  A stochastic run carries its gate once it is
-    frozen; metadata["frozen_t"] is then the time of the state certified
-    frozen, if the run stayed frozen to its end state."""
+    integrator does, to sink if one is given (see dynamics._run).  There is
+    no early stop: every run takes round(t_final/dt) steps.  A stochastic
+    run carries its gate once it is frozen; metadata["frozen_t"] is then the
+    time of the state certified frozen, if the run stayed frozen to its end
+    state."""
     meta = {"method": "mfi", "M": cfg.M, "dt": cfg.dt, "t_final": cfg.t_final,
             "seed": cfg.seed, "sigma_mode": spec.sigma_mode, "frozen_t": None}
     frozen = None if spec.sigma_mode == "symmetric" else _FrozenGate(spec)
-    tr = _run(ps0, spec, cfg, lambda ps, k: mfi_step(ps, spec, cfg, k, frozen), meta)
+    tr = _run(ps0, spec, cfg, lambda ps, k: mfi_step(ps, spec, cfg, k, frozen), meta,
+              sink=sink)
     if frozen is not None:
         frozen.collapsed(tr.final)  # thaws the run if its end state fails the check
         meta["frozen_t"] = frozen.since

@@ -2,7 +2,8 @@
 
 All operations here are pure reads over immutable particle snapshots and are
 safe to call concurrently.  Importing the module sets the process's heap
-policy once (_keep_freed_heap).
+policy once (_keep_freed_heap), and _may_fork is the one rule for when the
+package forks a worker process.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork a worker: fork is the start method of
+    multiprocessing's default context (the platform's, or the one set by
+    set_start_method), and only one Python thread runs.  A forked child
+    runs only the forking thread, so a lock another thread held at the fork
+    stays held in the child for good.  The sweep's worker pool and the
+    simulate command's snapshot writer both follow this rule.
+    """
+    # Imported here: multiprocessing loads socket and pickle, which would
+    # add to the start-up of every command.
+    import multiprocessing
+    import threading
+
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    return method == "fork" and threading.active_count() == 1
 
 
 class ClusteringError(Exception):
@@ -241,8 +260,9 @@ def _box_sum(points: np.ndarray, norm: str) -> float:
     points.max(axis=0) and points.min(axis=0), with the same values."""
     if points.shape[0] == 0 or points.shape[1] == 0:
         return 0.0
-    return float(_power_sum([np.array([col.max() - col.min()]) for col in points.T],
-                            norm)[0])
+    with np.errstate(over="ignore"):  # a sum past the largest double is wider than any eps
+        return float(_power_sum([np.array([col.max() - col.min()]) for col in points.T],
+                                norm)[0])
 
 
 def bbox_diameter(points: np.ndarray, norm: str) -> float:
@@ -256,9 +276,11 @@ def _within(points: np.ndarray, i, j, eps: float, norm: str) -> np.ndarray:
     two float arrays of the broadcast shape are alive at once.  The
     euclidean test compares the sum of squares with _bound(eps) and takes no
     square root; its decisions are the distance's.  points has at least one
-    column."""
-    return (_power_sum((np.asarray(col[j] - col[i]) for col in points.T), norm)
-            <= _bound(eps, norm))
+    column.  A gap or sum that overflows to inf fails every finite eps, as
+    the exact one would, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return (_power_sum((np.asarray(col[j] - col[i]) for col in points.T), norm)
+                <= _bound(eps, norm))
 
 
 def _gates(positions: np.ndarray, features: np.ndarray, spec: InteractionSpec) -> list:

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, InteractionSpec, ParticleSet, _nearest_distances, _norm
+from .model import (ConfigError, InteractionSpec, ParticleSet, _may_fork, _nearest_distances,
+                    _norm)
 from .dynamics import _check_merge_tol, _end_state_only, default_merge_tol, extract_clusters
 from .mfi import MfiConfig, mfi_simulate
 from .rng import derive_seed
@@ -227,16 +228,17 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
     to this process (at most one per run); each worker holds one run at a
     time, so peak memory is that of one run per worker.  Results are taken in
     run order, so the output does not depend on how many workers there are.
-    Workers start by the platform's default method while this process runs
-    one Python thread, and by spawn when it runs more.  Where that method is
-    fork (Linux before Python 3.14), they inherit this process with numpy
-    and bcclust already imported.  Forking was checked only with the OpenBLAS
+    Workers are forked where model._may_fork allows it (fork is the default
+    start method, as on Linux before Python 3.14, and this process runs one
+    Python thread), the rule simulate's snapshot writer follows too, and
+    spawned otherwise.  Forked workers inherit this process with numpy and
+    bcclust already imported.  Forking was checked only with the OpenBLAS
     that numpy's wheels bundle, which stops its threads around a fork; a BLAS
     built on GNU OpenMP can hang in a forked child, and a caller using one
     should start its workers by spawn (multiprocessing.set_start_method).
-    Under spawn or forkserver each worker starts a fresh interpreter that
-    imports the caller's main module, so a script that calls sweep does so
-    under `if __name__ == "__main__":`.
+    A spawned worker starts a fresh interpreter that imports the caller's
+    main module, so a script that calls sweep does so under
+    `if __name__ == "__main__":`.
     """
     alphas = list(alphas)
     eps1_list = list(eps1_list)
@@ -260,12 +262,9 @@ def sweep(pat: Pattern, alphas, eps1_list, runs_per_cell: int,
         # Imported here: bcclust.cli imports this module, and a fresh import
         # of the process pool would add to every command's start-up.
         import multiprocessing
-        import threading
         from concurrent.futures import ProcessPoolExecutor
 
-        # A forked child runs only the forking thread; a lock that another
-        # thread held at the fork stays held in the child for good.
-        ctx = multiprocessing.get_context("spawn") if threading.active_count() > 1 else None
+        ctx = None if _may_fork() else multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
             rows = list(ex.map(_run_cell, tasks))
     cells = (rows[i:i + runs_per_cell] for i in range(0, len(rows), runs_per_cell))

@@ -1,9 +1,11 @@
 """End-to-end command-line runs on small problems."""
 
+import contextlib
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from unittest import mock
 
@@ -11,8 +13,12 @@ import numpy as np
 import pytest
 
 from bcclust.cli import main
+from bcclust.dynamics import IntegratorConfig, simulate
 from bcclust.imageseg import GrayImage, load_grayscale, write_image
+from bcclust.mfi import MfiConfig, mfi_simulate
+from bcclust.model import ClusteringError, InteractionSpec, ParticleSet
 from bcclust import io as bio
+from oracles import density_csv, trajectory_csv
 
 
 def run(argv):
@@ -146,6 +152,166 @@ class TestSimulateCommand:
         assert run(["simulate", "--n", "1000", "--eps1", "0.3", "--mode",
                     "symmetric", "--method", "mfi", "--M", "150",
                     "--t-final", "1", "--out-dir", str(tmp_path)]) == 0
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def writer_mode(monkeypatch, forked):
+    """Run the block with the snapshot writer forked, or in this process
+    because another Python thread is alive, and check that it forked once
+    or not at all."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if not forked:
+        other.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        if not forked:
+            other.join(timeout=10)
+            assert not other.is_alive()
+    assert len(forks) == forked
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+class TestSnapshotWriterProcess:
+    """simulate writes trajectory.csv and density.csv through io.SnapshotSink:
+    from a forked writer process, or in this process while another Python
+    thread runs, with the bytes of the oracles' row-at-a-time writers of
+    the same run, kept whole by the library.  No path leaves a child."""
+
+    def particles(self, tmp_path, n, d1, d2, seed=0):
+        rng = np.random.default_rng(seed)
+        ps = ParticleSet(rng.uniform(0, 1, (n, d1)),
+                         rng.uniform(0, 1, (n, d2)) if d2 else None)
+        path = tmp_path / "init.csv"
+        bio.write_particles_csv(path, ps)
+        return ps, ["--init", "file", "--init-file", str(path)]
+
+    def check(self, tmp_path, monkeypatch, forked, ps, init, flags, cfg, bins=7):
+        out = tmp_path / "out"
+        argv = ["simulate", *init, "--eps1", "0.3", "--mode", "stochastic",
+                "--bins", str(bins), *flags, "--out-dir", str(out)]
+        with writer_mode(monkeypatch, forked):
+            assert main(argv) == 0
+        assert_no_child_left()
+        spec = InteractionSpec(eps1=0.3, sigma_mode="stochastic")
+        tr = (simulate(ps, spec, cfg) if isinstance(cfg, IntegratorConfig)
+              else mfi_simulate(ps, spec, cfg))
+        assert (out / "trajectory.csv").read_bytes() == trajectory_csv(tr, ps.features)
+        assert (out / "density.csv").read_bytes() == density_csv(tr, bins)
+        assert not [f for f in os.listdir(out) if f.startswith(".tmp-out-")]
+        return tr
+
+    @pytest.mark.parametrize("d1", [1, 2])
+    @pytest.mark.parametrize("d2", [0, 1])
+    def test_bytes_match_oracle(self, tmp_path, monkeypatch, forked, d1, d2):
+        ps, init = self.particles(tmp_path, 23, d1, d2, seed=10 * d1 + d2)
+        self.check(tmp_path, monkeypatch, forked, ps, init,
+                   ["--M", "3", "--t-final", "2", "--seed", "4"],
+                   MfiConfig(M=3, dt=0.5, t_final=2.0, seed=4))
+
+    def test_record_every_adds_final_snapshot(self, tmp_path, monkeypatch, forked):
+        ps, init = self.particles(tmp_path, 30, 2, 1)
+        tr = self.check(tmp_path, monkeypatch, forked, ps, init,
+                        ["--t-final", "2.5", "--record-every", "3"],
+                        MfiConfig(M=10, dt=0.5, t_final=2.5, seed=0, record_every=3))
+        assert [t for t, _ in tr.snapshots] == [0.0, 1.5, 2.5]
+
+    def test_euler_early_stop(self, tmp_path, monkeypatch, forked):
+        ps, init = self.particles(tmp_path, 40, 1, 0)
+        tr = self.check(tmp_path, monkeypatch, forked, ps, init,
+                        ["--method", "euler", "--t-final", "50", "--stop-tol", "1e-6"],
+                        IntegratorConfig(dt=0.5, t_final=50.0, stop_tol=1e-6))
+        assert tr.terminated_early and tr.final.t < 50.0
+
+    def test_one_particle(self, tmp_path, monkeypatch, forked):
+        ps, init = self.particles(tmp_path, 1, 2, 1)
+        self.check(tmp_path, monkeypatch, forked, ps, init,
+                   ["--method", "euler", "--t-final", "1.5", "--stop-tol", "0"],
+                   IntegratorConfig(dt=0.5, t_final=1.5, stop_tol=0.0))
+
+    def test_run_that_raises_leaves_no_snapshot_file(self, tmp_path, monkeypatch, forked):
+        """A run that fails after some snapshots were written (the writer
+        has made its temp files) leaves neither table, nor a temp file."""
+        from bcclust import mfi
+
+        real_step = mfi.mfi_step
+
+        def failing_step(ps, spec, cfg, k, *rest):
+            if k == 4:
+                raise RuntimeError("step failed")
+            return real_step(ps, spec, cfg, k, *rest)
+
+        monkeypatch.setattr(mfi, "mfi_step", failing_step)
+        out = tmp_path / "out"
+        with writer_mode(monkeypatch, forked):
+            with pytest.raises(RuntimeError, match="step failed"):
+                main(["simulate", "--n", "500", "--eps1", "0.2", "--mode", "stochastic",
+                      "--t-final", "5", "--out-dir", str(out)])
+        assert_no_child_left()
+        assert os.listdir(out) == []
+
+    def test_writer_that_fails_is_runtime_error(self, tmp_path, monkeypatch, capsys, forked):
+        """A trajectory.csv that is a directory fails the writer's rename, at
+        the end of the run: exit 1 with one error line, and no temp file."""
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        with writer_mode(monkeypatch, forked):
+            assert main(["simulate", "--n", "50", "--eps1", "0.2", "--mode", "stochastic",
+                         "--t-final", "2", "--out-dir", str(out)]) == 1
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trajectory.csv" in err
+        assert err.count("\n") == 1
+        assert not [f for f in os.listdir(out) if f.startswith(".tmp-out-")]
+        assert not (out / "density.csv").exists()
+
+    def test_writer_failing_mid_run_is_runtime_error(self, tmp_path, monkeypatch, capsys,
+                                                      forked):
+        """A writer that fails at its third snapshot, while the run still
+        sends more (a broken pipe when forked), gives exit 1 with the
+        writer's message, and no table or temp file."""
+        real_writer = bio.snapshot_writer
+
+        @contextlib.contextmanager
+        def failing_writer(*args, **kwargs):
+            with real_writer(*args, **kwargs) as write:
+                count = []
+
+                def wrapped(t, positions):
+                    count.append(t)
+                    if len(count) == 3:
+                        raise ClusteringError("no space left for snapshot 3")
+                    write(t, positions)
+                yield wrapped
+
+        monkeypatch.setattr(bio, "snapshot_writer", failing_writer)
+        out = tmp_path / "out"
+        with writer_mode(monkeypatch, forked):
+            assert main(["simulate", "--n", "3000", "--eps1", "0.2", "--mode", "stochastic",
+                         "--t-final", "10", "--out-dir", str(out)]) == 1
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no space left for snapshot 3" in err
+        assert not [f for f in os.listdir(out)
+                    if f.startswith(".tmp-out-") or f in ("trajectory.csv", "density.csv")]
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Euler integrator, cluster extraction, steady-state verification."""
 
 import tracemalloc
+import warnings
 from itertools import product
 from unittest import mock
 
@@ -492,17 +493,30 @@ class TestExtractClusters:
         np.testing.assert_allclose(cs.centers[0], pos.mean(axis=0))
         assert cs.weights[0] == 1.0
 
-    # components squares the 1.7e308 gap, which overflows to inf and so
-    # fails the gate as it should, but numpy warns
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     def test_center_near_the_largest_double_is_finite(self):
         """Members whose sum overflows still have a finite mean, and the
-        steady-state check runs on it."""
+        steady-state check runs on it, warning nothing."""
         big = 1.7e308
         spec = InteractionSpec(eps1=0.1)
-        cs = extract_clusters(ParticleSet([[big], [big], [0.0]]), 1e-9, spec)
-        assert cs.centers[:, 0].tolist() == [big, 0.0]
-        assert verify_steady_state(cs, spec).passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = extract_clusters(ParticleSet([[big], [big], [0.0]]), 1e-9, spec)
+            assert cs.centers[:, 0].tolist() == [big, 0.0]
+            assert verify_steady_state(cs, spec).passed
+
+    @pytest.mark.parametrize("second", [1.7e308, -1.7e308])
+    def test_gaps_past_the_largest_double_fail_the_gate_silently(self, second):
+        """A gap or a squared gap past the largest double is inf, which
+        fails every gate as the exact one would; numpy's overflow warnings
+        (in the square, and in the subtraction when the points lie on
+        either side of zero) are not reported."""
+        big = 1.7e308
+        spec = InteractionSpec(eps1=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = extract_clusters(ParticleSet([[big], [second], [0.0]]), 1e-9, spec)
+            assert verify_steady_state(cs, spec).passed
+        assert cs.centers[:, 0].tolist() == sorted({big, second}, reverse=True) + [0.0]
 
     def test_feature_gate_splits_colocated_particles(self):
         pos = np.full((6, 1), 0.5)
