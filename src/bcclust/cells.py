@@ -1,7 +1,7 @@
 """Cell lists: candidate pools that hold every gated neighborhood in a few index
 ranges, which serve the partner draws and the steady-state check's center
-pairs (expanded by _range_pairs), the exact component finder of a gate, and
-the check that a gate is frozen, with the one-range pool of its components.
+pairs (expanded by _range_pairs); the exact grid of a gate, shared by its
+component finder and the Euler step; the frozen-gate check and its pool.
 
 The gated coordinates are those of the groups that model._gates keeps: the
 features (cell side eps2) and the positions (cell side eps1), each only when
@@ -57,9 +57,11 @@ def candidate_pool(ps: ParticleSet, spec: InteractionSpec) -> CandidatePool:
     """Build the candidate ranges for the step state ps."""
     n = ps.n
     groups = _gates(ps.positions, ps.features, spec)
-    if not groups:
+    # cell and key arithmetic reaches n times the largest coordinate or eps
+    big = max((max(float(np.abs(p).max()), eps) for p, eps, _ in groups), default=0.0)
+    if not groups or not (n + 2) * (4 * big + 1) < np.finfo(float).max:
         whole = np.zeros((n, 1), dtype=np.int64)
-        return CandidatePool(groups, np.arange(n), whole, whole + n, np.arange(n), 0, True)
+        return CandidatePool(groups, np.arange(n), whole, whole + n, np.arange(n), 0, not groups)
     # Positions go last: they are what clusters, and the last coordinate is
     # searched with a +/- eps window where the others span three cells.
     *rows, (last, eps_last, norm_last) = [
@@ -245,54 +247,16 @@ def components(groups, n: int) -> np.ndarray:
     numbered by their lowest member.  They are exact but for euclidean
     tolerances below 2**-511, where squared gaps underflow.
 
-    This is grid-based exact single linkage, as in grid DBSCAN (Gan & Tao,
-    SIGMOD 2015).  Two particles sharing a cell are always joined.  Two cells
-    within reach of each other in every coordinate are joined only if a
-    cross check, in batches of about model._TILE_PAIRS member pairs, finds a
-    member pair that passes the gate.  A cell pair already joined through
-    others is skipped, so a large pair stops at the first chunk of rows that
-    finds one.
+    This is exact single linkage on the cells of _grid, as in grid DBSCAN
+    (Gan & Tao, SIGMOD 2015).  Particles sharing a cell are joined.  Cells
+    within reach are joined if a cross check, in batches of about
+    model._TILE_PAIRS member pairs, finds a member pair that passes the
+    gate; a pair already joined through others is skipped.
     """
     if not groups:
         return np.zeros(n, dtype=np.intp)
-    alone = sum(p.shape[1] for p, _, _ in groups) == 1
-    cols = [_cell_column(c, tol, p.shape[1], norm, alone)
-            for p, tol, norm in groups for c in p.T]
-
-    # One integer key per cell, each digit padded by its reach so that a key
-    # plus a stencil offset never carries into the next digit.
-    strides, stride = [], 1
-    for q, r in cols:
-        strides.append(stride)
-        stride *= int(q.max()) + 2 * r + 1
-    dtype = np.int64 if stride < 2**63 else object
-    key = sum((q + r).astype(dtype) * s for (q, r), s in zip(cols, strides))
-    cells, first, cell_of = np.unique(key, return_index=True, return_inverse=True)
-    m = cells.size
-    order, start = _label_runs(cell_of)
+    order, start, a, b = _grid(groups, n, True, n)
     size = np.diff(start, append=n)
-
-    # Adjacent cell pairs a < b.  The stencil holds (2 * reach + 1)**d
-    # offsets, which outgrows the cells themselves in a few dimensions; then
-    # the cells are compared pairwise, in row batches.  Otherwise the pairs
-    # come one stencil offset at a time, and of each offset and its negation
-    # only the one with a positive key step is needed.
-    pairs = [np.empty((2, 0), dtype=np.intp)]
-    if m <= math.prod(2 * r + 1 for _, r in cols):
-        cell_q = [(q[first], r) for q, r in cols]
-        for rows in _row_batches(np.full(m, m)):
-            near = np.triu(np.ones((rows.stop - rows.start, m), dtype=bool), rows.start + 1)
-            for q, r in cell_q:
-                near &= np.abs(q[rows, None] - q[None, :]) <= r
-            pairs.append(np.array(np.nonzero(near)) + [[rows.start], [0]])
-    else:
-        for off in product(*(range(-r, r + 1) for _, r in cols)):
-            step = sum(o * s for o, s in zip(off, strides))
-            if step > 0:
-                at = np.minimum(np.searchsorted(cells, cells + step), m - 1)
-                hit = np.flatnonzero(cells[at] == cells + step)
-                pairs.append(np.stack([hit, at[hit]]))
-    a, b = np.concatenate(pairs, axis=1)
 
     # Each pair is split into units of rows of its first cell, at most
     # model._TILE_PAIRS member pairs each unless a single row is longer, and
@@ -303,7 +267,7 @@ def components(groups, n: int) -> np.ndarray:
     u, r = _range_pairs(np.zeros((a.size, 1), dtype=np.int64), per[:, None])
     pend = np.stack([a[u], b[u], r * rows[u], np.minimum((r + 1) * rows[u], size[a][u])])
     pend = pend[:, np.argsort((pend[3] - pend[2]) * size[pend[1]], kind="stable")]
-    root = np.arange(m)
+    root = np.arange(start.size)
     while pend.shape[1]:
         pend = pend[:, root[pend[0]] != root[pend[1]]]
         cost = np.cumsum((pend[3] - pend[2]) * size[pend[1]])
@@ -317,9 +281,59 @@ def components(groups, n: int) -> np.ndarray:
         hit = np.bincount(k[ok], minlength=ca.size) > 0
         root = _link(root, ca[hit], cb[hit])
 
-    comp = root[cell_of]
+    comp = np.empty(n, dtype=np.intp)
+    comp[order] = np.repeat(root, size)
     _, lowest, inv = np.unique(comp, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(lowest))[inv]
+
+
+def _grid(groups, n: int, whole_runs: bool, most_cells: int):
+    """An exact grid of the gate of groups (nonempty, from model._gates):
+    (order, start, a, b), the particles sorted by cell, ties in index order;
+    where each cell's run starts; and the cell pairs a < b within reach.
+    None if there are more than most_cells cells.  Each gated coordinate is
+    cut by _cell_column, and no pair in two cells beyond reach in some
+    coordinate passes the gate.  With whole_runs, the runs of a lone gated
+    coordinate are the cells, and none is within reach of another."""
+    alone = whole_runs and sum(p.shape[1] for p, _, _ in groups) == 1
+    cols = [_cell_column(c, tol, p.shape[1], norm, alone)
+            for p, tol, norm in groups for c in p.T]
+
+    # One integer key per cell, each digit padded by its reach so that a key
+    # plus a stencil offset never carries into the next digit.
+    strides, stride = [], 1
+    for q, r in cols:
+        strides.append(stride)
+        stride *= int(q.max()) + 2 * r + 1
+    dtype = np.int64 if stride < 2**63 else object
+    key = sum((q + r).astype(dtype) * s for (q, r), s in zip(cols, strides))
+    order, start = _label_runs(key)
+    cells, m = key[order[start]], start.size
+    if m > most_cells:
+        return None
+
+    # The stencil holds (2 * reach + 1)**d offsets, which outgrows the cells
+    # themselves in a few dimensions; then the cells are compared pairwise,
+    # in row batches.  Otherwise the pairs come one stencil offset at a
+    # time, and of each offset and its negation only the one with a
+    # positive key step is needed.
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    if m <= math.prod(2 * r + 1 for _, r in cols):
+        cell_q = [(q[order[start]], r) for q, r in cols]
+        for rows in _row_batches(np.full(m, m)):
+            near = np.triu(np.ones((rows.stop - rows.start, m), dtype=bool), rows.start + 1)
+            for q, r in cell_q:
+                near &= np.abs(q[rows, None] - q[None, :]) <= r
+            pairs.append(np.array(np.nonzero(near)) + [[rows.start], [0]])
+    else:
+        for off in product(*(range(-r, r + 1) for _, r in cols)):
+            step = sum(o * s for o, s in zip(off, strides))
+            if step > 0:
+                at = np.minimum(np.searchsorted(cells, cells + step), m - 1)
+                hit = np.flatnonzero(cells[at] == cells + step)
+                pairs.append(np.stack([hit, at[hit]]))
+    a, b = np.concatenate(pairs, axis=1)
+    return order, start, a, b
 
 
 def _cell_column(col, tol, dim, norm, alone):

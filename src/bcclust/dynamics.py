@@ -11,19 +11,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cells import _boxes, _label_runs, _range_pairs, candidate_pool, components
+from . import model
+from .cells import _boxes, _grid, _label_runs, _range_pairs, candidate_pool, components
 from .model import (
     ConfigError,
     InteractionSpec,
     ParticleSet,
     _bound,
+    _gate,
     _gates,
     _nearest_distances,
     _norm,
     _power_sum,
     _root,
     _row_batches,
-    _upper_tiles,
     bbox_diameter,
 )
 from .moments import MomentRecord
@@ -119,89 +120,102 @@ class SteadyStateReport:
     violations: np.recarray
 
 
-def _feature_blocks(ps: ParticleSet, spec: InteractionSpec) -> list:
-    """The static-feature components of ps, the independent blocks of the drift.
-
-    Two particles in different components never interact, and features never
-    move, so the components hold for a whole run.  They are found by
-    cells.components for any number of features.  Returns the sorted indices
-    of each component of two or more particles, in the order of their lowest
-    members.  A particle alone in its component has zero drift and is left
-    out.
-    """
-    groups = _gates(ps.positions, ps.features, replace(spec, eps1=np.inf))
-    order, starts = _label_runs(components(groups, ps.n))
-    return [idx for idx in np.split(order, starts[1:]) if idx.size > 1]
+_CELL_MEMBERS = 8  # fewest members a cell, on average, for which the grid pays
 
 
-def _dense_drift(xc: np.ndarray, gates: list, spec: InteractionSpec, n: int) -> np.ndarray:
-    """Drift of one block of an n-particle set, its positions xc and its
-    groups from model._gates.
-
-    The gate is symmetric, so model._upper_tiles gates each of the block's
-    m(m+1)/2 unordered pairs once.  A tile's float gate g over rows r0:r1
-    and columns r0:m, its leading block made symmetric, gives its own rows'
-    gated sums (g @ xc[r0:]) and adds its rows to the sums of the columns
-    beyond (g[:, b:].T @ xc[r0:r1]); the degrees are its row and column
-    sums, exact in floats."""
-    m = xc.shape[0]
-    acc = np.zeros_like(xc)
-    deg = np.zeros(m)
-    for r0, t in _upper_tiles(gates, m):
-        b = t.shape[0]
-        r1 = r0 + b
-        lead = t[:, :b]
-        np.logical_or(lead, lead.T, out=lead)
-        g = t.astype(float)
-        acc[r0:r1] += g @ xc[r0:]
-        deg[r0:r1] += g.sum(axis=1)
-        if r1 < m:
-            beyond = g[:, b:]
-            acc[r1:] += beyond.T @ xc[r0:r1]
-            deg[r1:] += beyond.sum(axis=0)
-    sigma = float(n) if spec.sigma_mode == "symmetric" else deg[:, None]
-    return (acc - deg[:, None] * xc) / sigma
-
-
-def _drift(ps: ParticleSet, spec: InteractionSpec,
-           blocks: list | None = None) -> np.ndarray:
-    """Velocity of every particle under the bounded-confidence interaction.
-
-    The drift splits into independent blocks, one per static-feature
-    component (see _feature_blocks); blocks may carry them precomputed, since
-    callers stepping in a loop find them once.  A block in which model._gates
-    finds no group interacts pair by pair, and its velocity collapses to
-    (mean_C - x), times |C|/n in symmetric mode: O(|C|).  Any other block is
-    gated densely by those groups, each of its |C|(|C|+1)/2 unordered pairs
-    once, in tiles of the upper triangle (see _dense_drift): O(|C|^2) time.
-    """
-    x = ps.positions
-    if blocks is None:
-        blocks = _feature_blocks(ps, spec)
-    v = np.zeros_like(x)
-    for idx in blocks:
-        xc = x[idx]
-        gates = _gates(xc, ps.features[idx], spec)
-        if not gates:
-            vc = xc.mean(axis=0)[None, :] - xc
-            if spec.sigma_mode == "symmetric":
-                vc *= idx.size / ps.n
-        else:
-            vc = _dense_drift(xc, gates, spec, ps.n)
-        v[idx] = vc
+def _drift(ps: ParticleSet, spec: InteractionSpec) -> np.ndarray:
+    """Velocity of every particle under the bounded-confidence interaction:
+    mean - x in both modes when no group gates (model._gates), else sums
+    over the cells of cells._grid (_cell_sums), or over one cell where the
+    grid cannot pay (n(n+1)/2 pairs fit a tile, or < _CELL_MEMBERS a cell)."""
+    x, n = ps.positions, ps.n
+    groups = _gates(x, ps.features, spec)
+    if not groups:
+        return x.mean(axis=0) - x
+    fits = n * (n + 1) // 2 <= model._TILE_PAIRS
+    grid = None if fits else _grid(groups, n, False, n // _CELL_MEMBERS)
+    xe = np.column_stack([x, np.ones(n)])  # a count column beside the positions
+    if grid is None:
+        order, acc = np.arange(n), np.zeros_like(xe)
+        _gated_sums(groups, xe, order, slice(0, n), slice(0, n), True, acc)
+    else:
+        order, xe = grid[0], xe[grid[0]]
+        acc = _cell_sums(groups, xe, *grid)
+    deg = acc[:, -1:]
+    v = np.empty_like(x)
+    v[order] = (acc[:, :-1] - deg * xe[:, :-1]) / (n if spec.sigma_mode == "symmetric" else deg)
     return v
 
 
-def euler_step(ps: ParticleSet, spec: InteractionSpec, dt: float,
-               _blocks: list | None = None) -> ParticleSet:
-    """One synchronous explicit Euler step.  Features and t advance accordingly.
+def _cell_sums(groups, xe, order, start, a, b):
+    """Gated sums of the rows of xe (positions and a count column, in the
+    cell order of cells._grid: order, start, cell pairs a < b within
+    reach).  A cell pair, a cell with itself too, is decided on its boxes
+    with the gate's _power_sum and _bound.  It passes whole when its far
+    corners lie within eps in every group: each cell adds the other's sum
+    to its members.  It fails whole when its boxes are more than eps apart
+    in some group, as pairs beyond reach do.  _gated_sums gates the rest."""
+    m, size = start.size, np.diff(start, append=xe.shape[0])
+    a, b = np.concatenate([np.arange(m), a]), np.concatenate([np.arange(m), b])
+    spread, apart = [], np.zeros(a.size, dtype=bool)
+    with np.errstate(over="ignore"):  # a far corner of inf is not whole; a gap of inf is apart
+        for points, eps, norm in groups:
+            lo, hi = _boxes(points, order, start)
+            far = np.maximum(hi[b] - lo[a], hi[a] - lo[b])
+            spread.append(_power_sum(far.T, norm) > _bound(eps, norm))
+            gap = np.maximum(0.0, np.maximum(lo[b] - hi[a], lo[a] - hi[b]))
+            apart |= _power_sum(gap.T, norm) > _bound(eps, norm)
+    whole = ~np.logical_or.reduce(spread)
+    twin = whole & (a != b)  # adds a's sum to b's members too
+    to, src = np.concatenate([a[whole], b[twin]]), np.concatenate([b[whole], a[twin]])
+    sums = np.add.reduceat(xe, start)[src]
+    acc = np.repeat(np.stack([np.bincount(to, c, minlength=m) for c in sums.T], 1), size, 0)
+    left = np.flatnonzero(~(whole | apart))
+    left = left[np.argsort(a[left], kind="stable")]  # a cell's pair with itself first
+    a, b, spread, ends = a[left], b[left], [s[left] for s in spread], start + size
+    firsts = np.flatnonzero(np.diff(a, prepend=-1)).tolist()
+    for k0, k1 in zip(firsts, firsts[1:] + [a.size]):
+        c, parts = a[k0], b[k0:k1]
+        cols = _range_pairs(start[None, parts], ends[None, parts])[1]
+        _gated_sums([g for g, s in zip(groups, spread) if s[k0:k1].any()], xe, order,
+                    slice(start[c], ends[c]), cols, parts[0] == c, acc)
+    return acc
 
-    _blocks may carry the static-feature blocks of ps (see _feature_blocks),
-    which simulate finds once per run; without them the step finds its own.
-    """
+
+def _gated_sums(groups, xe, order, rows, cols, own, acc):
+    """Add to acc the gated sums between rows (a slice) and cols (a slice or
+    indices) of xe, both ways; order[r] is row r's particle.  With own, cols
+    begins with the rows, whose pairs are gated on their upper triangle
+    only.  Row tiles of at most model._TILE_PAIRS pairs (or one row) give
+    the rows' sums (g @ xe, leading block made symmetric) and, transposed
+    past that block, the columns', scattered once.  Both go through BLAS."""
+    xc, jc = xe[cols], order[cols]
+    ca = np.zeros_like(xc)
+    r = rows.start
+    while r < rows.stop:
+        c0 = r - rows.start if own else 0
+        nb = min(rows.stop - r, max(1, model._TILE_PAIRS // (jc.size - c0)))
+        i, e = order[r:r + nb], nb if own else 0  # e: the tile's columns that are its rows
+        t = np.zeros((nb, jc.size - c0), dtype=bool)
+        if own:
+            iu, ju = _range_pairs(np.arange(nb)[:, None], np.full((nb, 1), nb))
+            t[iu, ju] = _gate(groups, i[iu], i[ju])
+            np.logical_or(t[:, :nb], t[:, :nb].T, out=t[:, :nb])
+        if jc.size > c0 + e:
+            t[:, e:] = _gate(groups, i[:, None], jc[None, c0 + e:])
+        g = t.astype(float)
+        acc[r:r + nb] += g @ xc[c0:]
+        ca[c0 + e:] += g[:, e:].T @ xe[r:r + nb]
+        r += nb
+    acc[cols] += ca
+
+
+def euler_step(ps: ParticleSet, spec: InteractionSpec, dt: float) -> ParticleSet:
+    """One synchronous explicit Euler step.  Features and t advance accordingly.
+    Sums over decided cell pairs take a fixed order, gated tiles BLAS's."""
     if not 0 < dt <= 1:
         raise ConfigError(f"dt must be in (0, 1], got {dt}")
-    x_new = ps.positions + dt * _drift(ps, spec, _blocks)
+    x_new = ps.positions + dt * _drift(ps, spec)
     return ps.with_positions(x_new, ps.t + dt)
 
 
@@ -247,18 +261,15 @@ def simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: IntegratorConfig,
              sink=None) -> Trajectory:
     """Iterate euler_step to t_final (or early stop), recording snapshots and moments.
 
-    The static-feature blocks (see _feature_blocks) are found once, before
-    the first step, and nothing else is kept for the run.  A step then gates
-    the |C|(|C|+1)/2 unordered pairs of each block C that has not collapsed
-    within eps1, in tiles of the upper triangle, and costs O(|C|) for each
-    one that has.  sink, if given, takes each recorded (t, positions) as the
-    run goes, and Trajectory.snapshots stays empty (see _run); the simulate
-    command passes io.SnapshotSink, which writes them from a forked process.
+    Nothing is kept between steps; each bins the particles afresh and gates
+    only what its cells leave undecided (see _drift).  sink, if given, takes
+    each recorded (t, positions) as the run goes, and Trajectory.snapshots
+    stays empty (see _run); the simulate command passes io.SnapshotSink,
+    which writes them from a forked process.
     """
     meta = {"method": "euler", "dt": cfg.dt, "t_final": cfg.t_final,
             "sigma_mode": spec.sigma_mode}
-    blocks = _feature_blocks(ps0, spec)
-    return _run(ps0, spec, cfg, lambda ps, k: euler_step(ps, spec, cfg.dt, blocks), meta,
+    return _run(ps0, spec, cfg, lambda ps, k: euler_step(ps, spec, cfg.dt), meta,
                 cfg.stop_tol, sink)
 
 
@@ -288,7 +299,7 @@ def extract_clusters(ps: ParticleSet, merge_tol: float,
 
     Edge (i, j) iff position distance <= merge_tol and feature distance <= eps2,
     under the direct gate model._gate, ties included.  cells.components
-    finds them on a grid, the same finder that splits the Euler blocks.
+    finds them on cells._grid, the grid of the exact Euler step.
     Callers take merge_tol from default_merge_tol of the initial set, not
     of the collapsed state passed here.
     """

@@ -14,11 +14,9 @@ from .dynamics import (IntegratorConfig, _check_merge_tol, _end_state_only,
 from .mfi import MfiConfig, mfi_simulate
 
 # Largest pixel count handled by the exact integrator by default.  The limit
-# is set by time: a step costs O(|C|^2) time for each static-feature component
-# C of the pixels in which a group still gates (model._gates), and O(|C|) for
-# each one in which none does, so at this limit a step over one takes seconds.
-# All pixels form one component when no gap between sorted intensities
-# exceeds eps2.  Memory is no limit: a step keeps row tiles of 1 MiB.
+# is set by time: a step gates every member pair of the cell pairs that
+# straddle eps (dynamics._drift), so at this limit a spread image's step
+# takes a few tenths of a second.  Memory is no limit: row tiles of 1 MiB.
 DETERMINISTIC_PIXEL_LIMIT = 2**14
 
 

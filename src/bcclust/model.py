@@ -312,30 +312,6 @@ def _row_batches(counts):
         a = b
 
 
-def _upper_tiles(groups: list, m: int):
-    """_gate of groups over the upper triangle of an m x m evaluation, the
-    pairs (i, j) with j >= i, in row tiles of at most _TILE_PAIRS pairs
-    unless a single row is longer.
-
-    Yields (r0, t): t is the (b, m - r0) bool gate of rows r0:r0+b against
-    columns r0:m.  Its leading (b, b) block is gated on its upper triangle
-    only, through index lists, and is False below it; the columns beyond
-    are gated by broadcasting.  So the tiles gate each of the m(m+1)/2
-    pairs of the triangle once."""
-    idx = np.arange(m)
-    r0 = 0
-    while r0 < m:
-        b = min(m - r0, max(1, _TILE_PAIRS // (m - r0)))
-        r1 = r0 + b
-        t = np.zeros((b, m - r0), dtype=bool)
-        iu, ju = np.triu_indices(b)
-        t[iu, ju] = _gate(groups, iu + r0, ju + r0)
-        if r1 < m:
-            t[:, b:] = _gate(groups, idx[r0:r1, None], idx[None, r1:])
-        yield r0, t
-        r0 = r1
-
-
 def _nearest_distances(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
     """Distance from each row of a to its nearest row of b, in _row_batches:
     each row's least _power_sum, then one root per row, which is the least

@@ -1,6 +1,8 @@
 """Cell-list candidate pools: every gated neighborhood lies inside the pool;
 the frozen-gate check and the component pool of a frozen gate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -57,6 +59,30 @@ class TestCandidatePool:
         for k in range(ps.n):
             np.testing.assert_array_equal(np.nonzero(gate[k])[0],
                                           neighborhood(ps, k, spec).indices)
+
+    @pytest.mark.parametrize("points", [
+        [[1.7e308, 1.7e308], [1.7e308, -1.7e308], [0.0, 0.0]],
+        [[1.7e308, 0.0], [-1.7e308, 0.0], [0.0, 0.0]],
+        [[1.7e308], [-1.7e308], [0.0]],
+    ], ids=["last-column", "first-column", "line"])
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("eps", [0.5, 1.7e308])
+    def test_coordinates_spanning_past_the_largest_double(self, points, norm, eps):
+        """No cell, key or window overflows: every pool holds its N_i, the
+        brute-force gate's, and is N_i when exact, with no warning.  (The
+        keys of the first set were nan, so every range came out empty.)"""
+        ps = ParticleSet(points)
+        spec = InteractionSpec(eps1=eps, norm1=norm, sigma_mode="stochastic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pool = candidate_pool(ps, spec)
+        with np.errstate(over="ignore"):
+            gate = interaction_mask(ps, spec)
+        for i in range(ps.n):
+            members = pool_members(pool, i)
+            assert set(np.flatnonzero(gate[i]).tolist()) <= members
+            if pool.exact:
+                assert members == set(np.flatnonzero(gate[i]).tolist())
 
 
 eighths = st.integers(0, 8).map(lambda v: v / 8)  # exact, so gaps tie eps

@@ -1,5 +1,6 @@
 """Euler integrator, cluster extraction, steady-state verification."""
 
+import time
 import tracemalloc
 import warnings
 from itertools import product
@@ -13,6 +14,7 @@ from bcclust import cells, dynamics, model
 from bcclust.imageseg import segment
 from bcclust.mfi import MfiConfig, mfi_simulate
 from bcclust.model import ConfigError, InteractionSpec, ParticleSet
+from bcclust.rng import derive_seed
 from bcclust.dynamics import (
     IntegratorConfig,
     _drift,
@@ -147,32 +149,55 @@ EIGHTHS = st.integers(0, 8).map(lambda k: k / 8)  # exact sums and differences
 
 @st.composite
 def blocked_cases(draw):
-    """A particle set whose features form several components, a spec and a
-    chunk size.  Feature groups sit 2 apart, farther than any eps2, and are
-    drawn in eighths, so gaps of exactly eps2 occur.  Even groups are packed
-    within eps1 (collapsed unless the feature gate splits them), odd groups
-    spread over the unit box."""
-    d1 = draw(st.integers(1, 2))
+    """A particle set, a spec, a tile size and the fewest members per cell
+    for which the drift grids.  Positions (1 to 3 columns) and features (0
+    to 2) are drawn in groups of eighths, as are eps1 and eps2, so cell
+    pairs whose far corner or box gap is exactly eps occur (5/8 makes the
+    3-4-5 triangle).  Even groups are packed within eps1 / 4, often onto
+    one point, odd groups spread over the unit box.  Feature groups sit 2
+    apart, farther than any eps2, or all on one range.  A tile of a few
+    pairs forces row batches, and a threshold of 1 member forces the grid
+    wherever the n^2 pairs outgrow a tile."""
+    d1 = draw(st.integers(1, 3))
     d2 = draw(st.integers(0, 2))
-    eps1 = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    eps1 = draw(st.sampled_from([0.125, 0.25, 0.5, 0.625]))
+    apart = draw(st.sampled_from([0.0, 2.0]))
     pos, feat = [], []
     for g in range(draw(st.integers(1, 4))):
-        m = draw(st.integers(1, 6))
+        m = draw(st.integers(1, 12))
         if g % 2 == 0:
             base = draw(st.lists(EIGHTHS, min_size=d1, max_size=d1))
-            offs = draw(st.lists(st.floats(0, eps1 / 4), min_size=m * d1, max_size=m * d1))
+            offs = draw(st.lists(st.sampled_from([0.0, eps1 / 8, eps1 / 4]) | st.floats(0, eps1 / 4),
+                                 min_size=m * d1, max_size=m * d1))
             pos.append(np.array(base) + np.array(offs).reshape(m, d1))
         else:
             pts = draw(st.lists(st.one_of(EIGHTHS, st.floats(0, 1)),
                                 min_size=m * d1, max_size=m * d1))
             pos.append(np.array(pts).reshape(m, d1))
         vals = draw(st.lists(st.integers(0, 6), min_size=m * d2, max_size=m * d2))
-        feat.append(2.0 * g + np.array(vals, dtype=float).reshape(m, d2) / 8)
+        feat.append(apart * g + np.array(vals, dtype=float).reshape(m, d2) / 8)
     ps = ParticleSet(np.vstack(pos), np.vstack(feat) if d2 else None)
-    spec = InteractionSpec(eps1=eps1, eps2=draw(st.sampled_from([0.125, 0.25, 0.375])),
+    spec = InteractionSpec(eps1=eps1, eps2=draw(st.sampled_from([0.125, 0.25, 0.375, 0.625])),
                            norm1=draw(NORM), norm2=draw(NORM),
                            sigma_mode=draw(st.sampled_from(["symmetric", "stochastic"])))
-    return ps, spec, draw(st.integers(1, 64))
+    tile = draw(st.one_of(st.integers(1, 64), st.just(2**17)))
+    return ps, spec, tile, draw(st.sampled_from([1, dynamics._CELL_MEMBERS]))
+
+
+def gated_pairs(calls):
+    """The unordered member pairs of recorded _gate calls, one per pair
+    gated, repeats kept."""
+    return [(min(a, b), max(a, b)) for i, j in calls
+            for a, b in zip(*(x.ravel().tolist() for x in np.broadcast_arrays(i, j)))]
+
+
+def counting_gate(calls):
+    """model._gate, recording the index arrays of each call in calls."""
+    gate = model._gate
+    def counting(groups, i, j):
+        calls.append((i, j))
+        return gate(groups, i, j)
+    return counting
 
 
 @st.composite
@@ -202,48 +227,67 @@ LINE12 = ParticleSet(np.arange(12)[:, None] / 8)
 class TestBlockedDrift:
     @given(blocked_cases())
     @example((ParticleSet([[0.0], [0.1], [0.9], [1.0]], [[0.5], [0.75], [1.0], [2.0]]),
-              InteractionSpec(eps1=0.25, eps2=0.25, sigma_mode="stochastic"), 3))
-    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="stochastic"), 1))
-    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="symmetric"), 30))
-    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="stochastic"), 200))
+              InteractionSpec(eps1=0.25, eps2=0.25, sigma_mode="stochastic"), 3, 1))
+    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="stochastic"), 1, 1))
+    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="symmetric"), 30, 1))
+    @example((LINE12, InteractionSpec(eps1=0.25, sigma_mode="stochastic"), 200, 8))
     @settings(max_examples=300, deadline=None)
     def test_blocked_drift_matches_dense(self, case):
-        """Per-component blocks, closed form and upper-triangle tiles equal
-        the full sum, for tiles of one row, tiles of a few rows whose leading
-        block covers part of the diagonal, and one tile of the whole block."""
-        ps, spec, chunk = case
-        with mock.patch.object(model, "_TILE_PAIRS", chunk):
+        """Cell pairs decided on their boxes, the one-cell set and the
+        triangle tiles equal the full sum, for tiles of one row, tiles of a
+        few rows whose leading block covers part of a cell's diagonal, and
+        one tile of the whole set; no member pair is gated twice."""
+        ps, spec, tile, members = case
+        calls = []
+        with mock.patch.object(model, "_TILE_PAIRS", tile), \
+                mock.patch.object(dynamics, "_CELL_MEMBERS", members), \
+                mock.patch.object(dynamics, "_gate", counting_gate(calls)):
             blocked = _drift(ps, spec)
         np.testing.assert_allclose(blocked, dense_drift(ps, spec), rtol=0, atol=1e-12)
+        pairs = gated_pairs(calls)
+        assert len(set(pairs)) == len(pairs)
 
     @pytest.mark.parametrize("tile", [1, 5, 30, 2**17])
     @pytest.mark.parametrize("mode", ["symmetric", "stochastic"])
     def test_each_unordered_pair_gated_once(self, tile, mode):
-        """Each gated block of m particles has exactly m(m+1)/2 pairs gated,
-        counted at model._gate, and a collapsed block none.  The cluster
-        check gates no center pair twice, and only pairs i < k that the
-        centers' candidate pool holds."""
+        """Counted at the gate, no member pair is gated twice.  On the grid
+        no pair across two feature blocks is gated at all, and as one cell
+        each of the n(n+1)/2 pairs is gated once.  A set of clusters that
+        have formed, whose cell pairs are all decided on boxes (a cluster
+        with itself and with one 0.2 away pass whole, one 0.35 away fails),
+        gates none on the grid.  The cluster check gates no center pair
+        twice, and only pairs i < k that the centers' candidate pool holds."""
         rng = np.random.default_rng(3)
         sizes = [1, 2, 12, 45]
         pos = np.vstack([rng.uniform(0, 1, (m, 2)) for m in sizes]
                         + [np.full((7, 2), 0.5) + rng.uniform(0, 1e-3, (7, 2))])
-        feat = np.repeat(np.arange(len(sizes) + 1) * 10.0, sizes + [7])[:, None]
-        ps = ParticleSet(pos, feat)
+        block = np.repeat(np.arange(len(sizes) + 1), sizes + [7])
+        ps = ParticleSet(pos, block[:, None] * 10.0)
         spec = InteractionSpec(eps1=0.3, eps2=1.0, sigma_mode=mode)
-        gate, gated = model._gate, []
-        def counting(groups, i, j):
-            gated.append(np.broadcast_arrays(i, j))
-            return gate(groups, i, j)
-        with mock.patch.object(model, "_gate", counting), \
-                mock.patch.object(model, "_TILE_PAIRS", tile):
+        centres = [[0.1, 0.1], [0.1, 0.3], [0.9, 0.5], [0.55, 0.5]]
+        formed = ParticleSet(np.repeat(centres, 12, axis=0) + rng.uniform(0, 1e-3, (48, 2)))
+        calls, checks = [], []
+        with mock.patch.object(dynamics, "_gate", counting_gate(calls)), \
+                mock.patch.object(model, "_gate", counting_gate(checks)), \
+                mock.patch.object(model, "_TILE_PAIRS", tile), \
+                mock.patch.object(dynamics, "_CELL_MEMBERS", 1):
             v = _drift(ps, spec)
-            assert sum(i.size for i, _ in gated) == sum(m * (m + 1) // 2 for m in sizes[1:])
+            pairs = gated_pairs(calls)
+            assert len(set(pairs)) == len(pairs)
+            if tile < ps.n ** 2:
+                assert pairs and all(block[a] == block[b] for a, b in pairs)
+            else:
+                assert len(pairs) == ps.n * (ps.n + 1) // 2
             np.testing.assert_allclose(v, dense_drift(ps, spec), rtol=0, atol=1e-12)
-            gated.clear()
+            calls.clear()
+            v = _drift(formed, spec)
+            assert len(gated_pairs(calls)) == (
+                0 if tile < formed.n ** 2 else formed.n * (formed.n + 1) // 2)
+            np.testing.assert_allclose(v, dense_drift(formed, spec), rtol=0, atol=1e-12)
             cs = extract_clusters(ParticleSet(pos[:60]), 1e-9, spec)
             rep = verify_steady_state(cs, spec)
-        pairs = [(a, b) for i, j in gated for a, b in zip(i.ravel().tolist(),
-                                                          j.ravel().tolist())]
+        pairs = [(a, b) for i, j in checks for a, b in zip(i.ravel().tolist(),
+                                                           j.ravel().tolist())]
         pool = cells.candidate_pool(ParticleSet(cs.centers), InteractionSpec(spec.eps1))
         candidates = {(a, int(pool.order[at]))
                       for a in range(cs.n_clusters)
@@ -256,29 +300,34 @@ class TestBlockedDrift:
 
     @pytest.mark.parametrize("mode", ["symmetric", "stochastic"])
     def test_each_block_gates_only_what_spreads(self, mode):
-        """Two feature blocks: one whose positions lie within eps1 and whose
-        features spread, and one the other way round.  Each is gated by its
-        one spread group, and the drift equals the dense mask's bit for bit
-        (the coordinates are eighths, so every sum is exact)."""
+        """Two feature blocks on the grid: one whose positions lie within
+        eps1 and whose features spread in steps of exactly eps2, and one the
+        other way round.  Every cell pair of the first is decided on its
+        boxes (features eps2 apart pass whole, 2 eps2 apart fail), so only
+        pairs of the second are gated, and the drift equals the dense
+        mask's bit for bit (the coordinates are eighths, so every sum is
+        exact)."""
         pos = [[0.5], [0.625], [0.5], [0.75], [0.0], [0.5], [1.0], [0.25]]
         feat = [[0.0], [0.25], [0.5], [0.75], [4.0], [4.125], [4.25], [4.0]]
         ps = ParticleSet(pos, feat)
         spec = InteractionSpec(eps1=0.375, eps2=0.25, sigma_mode=mode)
-        blocks = dynamics._feature_blocks(ps, spec)
-        assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        gated = [[g[1] for g in model._gates(ps.positions[b], ps.features[b], spec)]
-                 for b in blocks]
-        assert gated == [[0.25], [0.375]]
-        np.testing.assert_array_equal(_drift(ps, spec), dense_drift(ps, spec))
+        calls = []
+        with mock.patch.object(dynamics, "_gate", counting_gate(calls)), \
+                mock.patch.object(model, "_TILE_PAIRS", 8), \
+                mock.patch.object(dynamics, "_CELL_MEMBERS", 1):
+            v = _drift(ps, spec)
+        pairs = gated_pairs(calls)
+        assert pairs and min(min(p) for p in pairs) >= 4
+        assert len(set(pairs)) == len(pairs)
+        np.testing.assert_array_equal(v, dense_drift(ps, spec))
 
     def test_step_memory_bounded_in_one_component(self):
-        """A block whose positions and features both spread is gated in row
+        """A set whose positions and features both spread is gated in row
         tiles, features inside each tile: no n x n feature mask."""
         rng = np.random.default_rng(0)
         n = 8192
         ps = ParticleSet(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (n, 1)))
         spec = InteractionSpec(eps1=0.5, eps2=0.3)
-        assert len(dynamics._feature_blocks(ps, spec)) == 1
         tracemalloc.start()
         try:
             euler_step(ps, spec, 0.5)
@@ -321,6 +370,21 @@ class TestBlockedDrift:
         assert len(peaks) == 27
         assert max(peaks) < n * n * 8
         assert sum(p < 2**20 for p in peaks) >= 20
+
+
+class TestExactEulerCost:
+    def test_criterion_3_setting_in_five_seconds(self):
+        """Exact Euler at criterion 3's setting (n = 10^4 uniform in 2D,
+        eps1 = 0.15, stochastic, dt = 0.5, T = 50, no early stop) runs its
+        100 steps in at most 5 s for seed 0.  Gating every pair of the set
+        took about 0.2 s a step, so 20 s or more."""
+        rng = np.random.default_rng(derive_seed(0, 3))
+        ps0 = ParticleSet(rng.uniform(0, 1, (10_000, 2)))
+        spec = InteractionSpec(eps1=0.15, sigma_mode="stochastic")
+        t0 = time.perf_counter()
+        tr = simulate(ps0, spec, IntegratorConfig(dt=0.5, t_final=50.0, stop_tol=0.0))
+        wall = time.perf_counter() - t0
+        assert tr.final.t == 50.0 and wall <= 5.0
 
 
 class TestSimulate:
