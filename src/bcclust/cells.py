@@ -175,9 +175,7 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
     Then the parts are the gate's components and N_i is i's part.  A step
     moves each particle to a convex combination of its part, which shrinks
     position boxes and widens their gaps, and features never move, so the
-    gate stays frozen.  Box gaps lower-bound member gaps under the same
-    _power_sum, compared with model._bound as the gate compares its pairs,
-    so a gap of exactly eps does not separate.
+    gate stays frozen.  Both tests are the box rule of _box_sums.
 
     (b) sweeps the parts in order of the low end of their boxes in the last
     group's first coordinate (sweep and prune: Cohen et al., I-COLLIDE, SI3D
@@ -189,7 +187,8 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
     """
     order, starts = _label_runs(labels)
     boxes = [(*_boxes(p, order, starts), eps, norm) for p, eps, norm in groups]
-    if not all((_power_sum((hi - lo).T, norm) <= _bound(eps, norm)).all()
+    every = slice(None)
+    if not all((_box_sums(lo, hi, every, every, norm, far=True) <= _bound(eps, norm)).all()
                for lo, hi, eps, norm in boxes):
         return False
     m = starts.size
@@ -206,9 +205,7 @@ def gate_frozen(groups, labels: np.ndarray) -> bool:
         i, j = by[a + rows.start], by[at]
         apart = np.zeros(i.size, dtype=bool)
         for lo, hi, eps, norm in boxes:
-            gaps = (np.maximum(0.0, np.maximum(lo[j, d] - hi[i, d], lo[i, d] - hi[j, d]))
-                    for d in range(lo.shape[1]))
-            apart |= _power_sum(gaps, norm) > _bound(eps, norm)
+            apart |= _box_sums(lo, hi, i, j, norm) > _bound(eps, norm)
         if not apart.all():
             return False
     return True
@@ -236,6 +233,31 @@ def _boxes(points, order, starts):
     in order that starts at starts."""
     srt = points[order]
     return np.minimum.reduceat(srt, starts), np.maximum.reduceat(srt, starts)
+
+
+def _box_sums(lo, hi, i, j, norm, far=False):
+    """_power_sum over the pairs of (m, d) boxes lo, hi that i and j (index
+    arrays or slices) pick: of each pair's gap, max(0, lo_j - hi_i, lo_i -
+    hi_j) in each coordinate, which no member pair's difference undercuts,
+    or with far of its far corners, max(hi_j - lo_i, hi_i - lo_j), which no
+    member pair's difference exceeds.
+
+    This is the one box rule.  Compared with model._bound(eps, norm) as the
+    gate compares a pair, a gap sum over the bound fails every member pair,
+    so a gap of exactly eps does not separate, and a far sum at most the
+    bound passes every one.  A difference or sum past the largest double is
+    inf, which exceeds every bound as the exact one would: a gap of inf is
+    apart and a far corner of inf is not within eps, so the overflow is not
+    reported.
+    """
+    with np.errstate(over="ignore"):
+        if far:
+            diffs = (np.maximum(hi[j, d] - lo[i, d], hi[i, d] - lo[j, d])
+                     for d in range(lo.shape[1]))
+        else:
+            diffs = (np.maximum(0.0, np.maximum(lo[j, d] - hi[i, d], lo[i, d] - hi[j, d]))
+                     for d in range(lo.shape[1]))
+        return _power_sum(diffs, norm)
 
 
 def components(groups, n: int) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model
-from .cells import _boxes, _grid, _label_runs, _range_pairs, candidate_pool, components
+from .cells import (_box_sums, _boxes, _grid, _label_runs, _range_pairs, candidate_pool,
+                    components)
 from .model import (
     ConfigError,
     InteractionSpec,
@@ -22,7 +23,6 @@ from .model import (
     _gates,
     _nearest_distances,
     _norm,
-    _power_sum,
     _root,
     _row_batches,
     bbox_diameter,
@@ -151,20 +151,17 @@ def _cell_sums(groups, xe, order, start, a, b):
     """Gated sums of the rows of xe (positions and a count column, in the
     cell order of cells._grid: order, start, cell pairs a < b within
     reach).  A cell pair, a cell with itself too, is decided on its boxes
-    with the gate's _power_sum and _bound.  It passes whole when its far
-    corners lie within eps in every group: each cell adds the other's sum
-    to its members.  It fails whole when its boxes are more than eps apart
-    in some group, as pairs beyond reach do.  _gated_sums gates the rest."""
+    by cells._box_sums.  It passes whole when its far corners lie within
+    eps in every group: each cell adds the other's sum to its members.  It
+    fails whole when its boxes are more than eps apart in some group, as
+    pairs beyond reach do.  _gated_sums gates the rest."""
     m, size = start.size, np.diff(start, append=xe.shape[0])
     a, b = np.concatenate([np.arange(m), a]), np.concatenate([np.arange(m), b])
     spread, apart = [], np.zeros(a.size, dtype=bool)
-    with np.errstate(over="ignore"):  # a far corner of inf is not whole; a gap of inf is apart
-        for points, eps, norm in groups:
-            lo, hi = _boxes(points, order, start)
-            far = np.maximum(hi[b] - lo[a], hi[a] - lo[b])
-            spread.append(_power_sum(far.T, norm) > _bound(eps, norm))
-            gap = np.maximum(0.0, np.maximum(lo[b] - hi[a], lo[a] - hi[b]))
-            apart |= _power_sum(gap.T, norm) > _bound(eps, norm)
+    for points, eps, norm in groups:
+        lo, hi = _boxes(points, order, start)
+        spread.append(_box_sums(lo, hi, a, b, norm, far=True) > _bound(eps, norm))
+        apart |= _box_sums(lo, hi, a, b, norm) > _bound(eps, norm)
     whole = ~np.logical_or.reduce(spread)
     twin = whole & (a != b)  # adds a's sum to b's members too
     to, src = np.concatenate([a[whole], b[twin]]), np.concatenate([b[whole], a[twin]])
@@ -345,12 +342,9 @@ def verify_steady_state(cs: ClusterSet, spec: InteractionSpec) -> SteadyStateRep
     m, d2 = cs.n_clusters, cs.features.shape[1]
     centers, fmin, fmax = cs.centers, cs.feature_min, cs.feature_max
     def box_gap(i, k):
-        # componentwise interval gaps lower-bound the member gap, and equal
-        # it when both clusters' features are single points; one past the
-        # largest double is inf, which fails every eps2
-        with np.errstate(over="ignore"):
-            return _power_sum(np.maximum(0.0, np.maximum(
-                fmin[i] - fmax[k], fmin[k] - fmax[i])).T, spec.norm2)
+        # the box gap equals the member gap when both clusters' features
+        # are single points
+        return _box_sums(fmin, fmax, i, k, spec.norm2)
     pool = candidate_pool(ParticleSet(centers), InteractionSpec(spec.eps1, norm1=spec.norm1))
     keys = []
     for rows in _row_batches((pool.hi - pool.lo).sum(axis=1)):

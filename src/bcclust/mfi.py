@@ -6,21 +6,24 @@ particle, the drawn partners outside N_i are dropped, and Abar = (1/M) * the
 number kept, the Monte Carlo estimate of the interaction fraction |N_i|/n.
 In stochastic mode the partners come from the particle's own neighborhood
 N_i \\ {i} (all of it when it holds M or fewer), and Abar = 1: the subset
-mean estimates the neighborhood mean, as in Random Batch methods.  Either way
-dt * Abar never exceeds 1, and a particle with no qualifying partner holds
-still; in stochastic mode that means N_i = {i}.  The subset integrator always
-runs to t_final: a subset step's displacement is a random sample, not the
-drift, so a small one does not mean the state is stationary.
+mean estimates the mean over N_i \\ {i}, as in Random Batch methods.  So the
+step averages with sigma_i = |N_i| - 1, unlike euler_step's |N_i|, and a row
+that takes every partner moves x by |N_i|/(|N_i| - 1) times euler_step's
+displacement.  Either way dt * Abar never exceeds 1, and a particle with no
+qualifying partner holds still; in stochastic mode that means N_i = {i}.
+The subset integrator always runs to t_final: a subset step's displacement
+is a random sample, not the drift, so a small one does not mean the state is
+stationary.
 
 A stochastic run also carries its gate once the gate is frozen
 (cells.gate_frozen).  When a step's cell pool is not exact and the step's own
 draws reveal components that pass that check, every later step draws from the
 components themselves, one exact range per particle, with no cell pool and no
-gate, and a component collapsed to one point takes no draw at all.  Each such
-step re-checks the state in O(n) and thaws the run if the check fails.  The
-draws keep their law, and a run stays a pure function of (seed, inputs), but
-from the first frozen step on its bits depend on the step at which the freeze
-was first seen.  Trajectory.metadata["frozen_t"] is the time of the state
+gate.  Each such step re-checks the state in O(n) and thaws the run if the
+check fails.  Either way a step draws once, from one pool.  The draws keep
+their law, and a run stays a pure function of (seed, inputs), but from the
+first frozen step on its bits depend on the step at which the freeze was
+first seen.  Trajectory.metadata["frozen_t"] is the time of the state
 certified frozen, or None.
 """
 
@@ -83,9 +86,9 @@ class _FrozenGate:
         self.lo, self.hi = _boxes(ps.positions, self.pool.order, self.starts)
         self.since = ps.t
 
-    def collapsed(self, ps: ParticleSet):
-        """Which components lie on one point at ps, while the gate is still
-        frozen there; None, thawing the run, once it is not.
+    def pool_at(self, ps: ParticleSet):
+        """The component pool while the gate is still frozen at ps; None,
+        thawing the run, once it is not.
 
         A component's position box inside its box at the last full check
         keeps (a) and (b) of cells.gate_frozen, so the check costs O(n).  A
@@ -100,35 +103,7 @@ class _FrozenGate:
                 self.since = None
                 return None
             self.lo, self.hi = lo, hi
-        return (lo == hi).all(axis=1)
-
-    def partners(self, ps: ParticleSet, cfg: MfiConfig, k: int):
-        """The step's (M, n) partner rows from the frozen components, or None
-        when the gate is not frozen at ps.
-
-        A member of a collapsed component takes the first min(M, |C| - 1)
-        other members in label order, with no draw: every partner it could
-        draw sits on its own point, so the gathered sum has the bits of any
-        draw.  The other rows are drawn from the component pool.
-        """
-        flat = self.collapsed(ps)
-        if flat is None:
-            return None
-        hold = flat[self.comp]
-        if not hold.any():
-            return RngStream(cfg.seed).subsets(k, cfg.M, self.pool).T
-        M, order = cfg.M, self.pool.order
-        sub = np.full((M, ps.n), -1, dtype=np.int64)
-        i = np.flatnonzero(hold)
-        lo, hi = self.pool.lo[i, 0], self.pool.hi[i, 0]
-        t = np.arange(M)[:, None]
-        at = lo + t + (t >= self.pool.rank[i] - lo)
-        sub[:, i] = np.where(t < np.minimum(M, hi - lo - 1),
-                             order[np.minimum(at, ps.n - 1)], -1)
-        drawn = np.flatnonzero(~hold)
-        if drawn.size:
-            sub[:, drawn] = RngStream(cfg.seed).subsets(k, M, self.pool, drawn).T
-        return sub
+        return self.pool
 
 
 def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
@@ -138,18 +113,18 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
     In symmetric mode the full subset M = n-1 at time step dt*(n-1)/n
     reproduces the deterministic Euler step at dt, which the tests use as an
     oracle.  _frozen may carry a stochastic run's frozen gate, which
-    mfi_simulate passes; without it the step draws from its own cell pool.
+    mfi_simulate passes: while it holds, the step draws from its component
+    pool, and otherwise from its own cell pool.
     """
     x = ps.positions
     symmetric = spec.sigma_mode == "symmetric"
-    pool = None
-    sub = None if _frozen is None else _frozen.partners(ps, cfg, k)
-    if sub is None:
+    pool = None if _frozen is None else _frozen.pool_at(ps)
+    if pool is None:
         pool = candidate_pool(ps, InteractionSpec(eps1=np.inf) if symmetric else spec)
-        sub = RngStream(cfg.seed).subsets(k, cfg.M, pool).T  # (M, n)
-        gates = _gates(x, ps.features, spec) if symmetric else []
-        if gates:
-            sub = np.where(_gate(gates, np.arange(ps.n), sub), sub, -1)
+    sub = RngStream(cfg.seed).subsets(k, cfg.M, pool).T  # (M, n)
+    gates = _gates(x, ps.features, spec) if symmetric else []
+    if gates:
+        sub = np.where(_gate(gates, np.arange(ps.n), sub), sub, -1)
     # Every partner left is in N_i.  A -1, for a partner dropped by the gate
     # or for the padding of a small neighborhood, picks the zero appended to
     # each coordinate column.
@@ -162,7 +137,7 @@ def mfi_step(ps: ParticleSet, spec: InteractionSpec, cfg: MfiConfig, k: int,
     step = cfg.dt * abar[:, None] * (xbar - x)
     x_new = np.where(active[:, None], x + step, x)
     # Checked after the arithmetic, when the step's (M, n) temporaries are free
-    if _frozen is not None and pool is not None and not pool.exact:
+    if _frozen is not None and not pool.exact:
         _frozen.certify(ps, pool, sub)
     return ps.with_positions(x_new, ps.t + cfg.dt)
 
@@ -181,6 +156,6 @@ def mfi_simulate(ps0: ParticleSet, spec: InteractionSpec, cfg: MfiConfig,
     tr = _run(ps0, spec, cfg, lambda ps, k: mfi_step(ps, spec, cfg, k, frozen), meta,
               sink=sink)
     if frozen is not None:
-        frozen.collapsed(tr.final)  # thaws the run if its end state fails the check
+        frozen.pool_at(tr.final)  # thaws the run if its end state fails the check
         meta["frozen_t"] = frozen.since
     return tr

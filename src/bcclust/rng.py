@@ -144,31 +144,30 @@ class RngStream:
 
     seed: int
 
-    def subsets(self, step: int, M: int, pool, rows=None) -> np.ndarray:
+    def subsets(self, step: int, M: int, pool) -> np.ndarray:
         """Sampled index rows from a CandidatePool, shape (n, M), one row per
-        particle, or one per particle of rows, a nonempty index array, when
-        given.
+        particle.
 
         Each row is an M-subset of N_i \\ {i} drawn uniformly without
         repetition, a pure function of (seed, step, i) given the pool's step
         state, or all of N_i \\ {i} followed by -1 padding when that holds M
-        or fewer.  So particle i's row does not depend on which other rows
-        are drawn.  The pool of a spec that gates nothing holds every
-        particle, so its rows are M-subsets of {0..n-1} \\ {i}.
+        or fewer.  So a row does not depend on the block it is drawn in.  The
+        pool of a spec that gates nothing holds every particle, so its rows
+        are M-subsets of {0..n-1} \\ {i}.
         """
         n = len(pool.order)
         if not 1 <= M <= n - 1:
             raise ConfigError(f"subset size M={M} is below 1 or exceeds the "
                               f"{n - 1} other particles")
-        particles = np.arange(n) if rows is None else rows
+        particles = np.arange(n)
         keys = _particle_keys(self.seed, step, particles)
         per = max(1, _BLOCK // M)
         parts = []
-        for a in range(0, particles.size, per):
-            # slices of a whole draw index the pool's arrays without a copy
-            sel = slice(a, a + per) if rows is None else particles[a:a + per]
-            parts.append(_floyd(keys[a:a + per], M, pool, sel) if pool.exact else
-                         self._from_pool(keys[a:a + per], M, pool, particles[a:a + per], sel))
+        for a in range(0, n, per):
+            # slices index the pool's arrays without a copy
+            sel = slice(a, a + per)
+            parts.append(_floyd(keys[sel], M, pool, sel) if pool.exact else
+                         self._from_pool(keys[sel], M, pool, particles[sel], sel))
         return (parts[0] if len(parts) == 1 else np.hstack(parts)).T
 
     def _from_pool(self, keys, M, pool, particles, sel):

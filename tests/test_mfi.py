@@ -125,6 +125,25 @@ class TestOracleEquivalence:
         np.testing.assert_allclose(via_mfi.positions, via_euler.positions,
                                    atol=1e-12, rtol=0)
 
+    @given(random_sets(n_min=2, n_max=30, features=True), st.integers(0, 20),
+           st.sampled_from([0.2, 0.3, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_stochastic_step_averages_over_the_other_members(self, ps, k, eps):
+        """With M >= max |N_i| - 1 every partner is taken, and the stochastic
+        step averages over N_i \\ {i}, sigma_i = |N_i| - 1: its displacement
+        is |N_i|/(|N_i| - 1) times euler_step's.  A lone particle holds still."""
+        spec = InteractionSpec(eps1=eps, eps2=eps, sigma_mode="stochastic")
+        size = np.array([neighborhood(ps, i, spec).count for i in range(ps.n)])
+        cfg = MfiConfig(M=max(1, int(size.max()) - 1), dt=0.5, t_final=1.0, seed=3)
+        x = ps.positions
+        via_mfi = mfi_step(ps, spec, cfg, k).positions
+        via_euler = euler_step(ps, spec, cfg.dt).positions
+        lone = size == 1
+        np.testing.assert_array_equal(via_mfi[lone], x[lone])
+        ratio = (size / np.maximum(size - 1, 1))[:, None]
+        np.testing.assert_allclose(via_mfi[~lone], (x + ratio * (via_euler - x))[~lone],
+                                   atol=1e-12, rtol=0)
+
 
 class TestMfiSimulate:
     def test_bit_identical_reruns(self):
@@ -204,8 +223,9 @@ class TestFrozenGate:
     @settings(max_examples=60, deadline=None)
     def test_frozen_draws_stay_in_neighborhoods(self, data):
         """Particles on a coarse grid, some on one point, with maybe a
-        feature: whenever a run's gate is frozen, each row holds min(M,
-        |N_i| - 1) distinct partners of N_i, the brute-force one."""
+        feature: whenever a run's gate is frozen, each row drawn from its
+        component pool holds min(M, |N_i| - 1) distinct partners of N_i,
+        the brute-force one."""
         n = data.draw(st.integers(2, 30))
         d1 = data.draw(st.integers(1, 2))
         grid = st.integers(0, 4).map(lambda v: v / 4)
@@ -223,48 +243,63 @@ class TestFrozenGate:
                         seed=data.draw(st.integers(0, 2**32)))
         frozen = mfi._FrozenGate(spec)
         for k in range(6):
-            sub = frozen.partners(ps, cfg, k)
-            if sub is not None:
+            pool = frozen.pool_at(ps)
+            if pool is not None:
+                rows = RngStream(cfg.seed).subsets(k, cfg.M, pool)
                 for i in range(n):
                     nb = set(neighborhood(ps, i, spec).indices.tolist()) - {i}
-                    picked = sub[:, i][sub[:, i] >= 0].tolist()
+                    picked = rows[i][rows[i] >= 0].tolist()
                     assert len(set(picked)) == len(picked) == min(cfg.M, len(nb))
                     assert set(picked) <= nb
             ps = mfi_step(ps, spec, cfg, k, frozen)
 
     def test_frozen_partners_lie_in_the_neighborhood(self):
-        """Every partner drawn on a frozen state is in N_i, and each row
-        holds min(M, |N_i| - 1) distinct partners."""
+        """Every partner drawn from the component pool of a frozen state is
+        in N_i, and each row holds min(M, |N_i| - 1) distinct partners."""
         ps, _ = blobs([40, 6, 1, 25])
         frozen, ps = certified(ps, self.spec, self.cfg)
         for k in range(1, 6):
-            sub = frozen.partners(ps, self.cfg, k)
-            assert sub is not None
+            pool = frozen.pool_at(ps)
+            assert pool is frozen.pool
+            rows = RngStream(self.cfg.seed).subsets(k, self.cfg.M, pool)
             for i in range(ps.n):
                 nb = set(neighborhood(ps, i, self.spec).indices.tolist()) - {i}
-                picked = sub[:, i][sub[:, i] >= 0].tolist()
+                picked = rows[i][rows[i] >= 0].tolist()
                 assert len(set(picked)) == len(picked) == min(self.cfg.M, len(nb))
                 assert set(picked) <= nb
             ps = mfi_step(ps, self.spec, self.cfg, k, frozen)
 
-    def test_collapsed_step_takes_no_draw_and_keeps_the_bits(self, monkeypatch):
+    def test_collapsed_step_keeps_the_bits(self):
         """Components on one point each, of fewer, exactly and more than
-        M + 1 members: the frozen step draws nothing and equals the step
-        drawn from the cell pool bit for bit."""
+        M + 1 members: the step drawn from the component pool equals the
+        step drawn from the cell pool bit for bit."""
         sizes = [30, 6, 1, 3, 12]
         centers = np.array([[0.1, 0.7], [0.3, 0.3], [0.7, 0.1], [0.9, 0.9], [1 / 3, 0.9]])
         ps = ParticleSet(np.repeat(centers, sizes, axis=0))
         frozen, _ = certified(ps, self.spec, self.cfg)
-        draws, draw = [], RngStream.subsets
-        monkeypatch.setattr(RngStream, "subsets",
-                            lambda *args: draws.append(args) or draw(*args))
         for k in range(1, 4):
             via_frozen = mfi_step(ps, self.spec, self.cfg, k, frozen)
-            assert not draws
+            assert frozen.since is not None
             np.testing.assert_array_equal(via_frozen.positions,
                                           mfi_step(ps, self.spec, self.cfg, k).positions)
-            draws.clear()
             ps = via_frozen
+
+    def test_one_draw_per_step_frozen_or_not(self, monkeypatch):
+        """A step calls RngStream.subsets exactly once, from the cell pool
+        before the freeze and from the component pool after it, with one
+        component collapsed onto a point and two spread."""
+        ps = ParticleSet(np.vstack([np.full((12, 2), 0.1), blobs([20, 6])[0].positions + 0.5]))
+        frozen = mfi._FrozenGate(self.spec)
+        pools, draw = [], RngStream.subsets
+        def traced(stream, k, M, pool):
+            pools.append(pool)
+            return draw(stream, k, M, pool)
+        monkeypatch.setattr(RngStream, "subsets", traced)
+        for k in range(3):
+            ps = mfi_step(ps, self.spec, self.cfg, k, frozen)
+            assert len(pools) == 1
+            assert (pools[0] is frozen.pool) == (k > 0)
+            pools.clear()
 
     def test_collapsed_rows_beside_drawn_rows(self):
         """One component still spread: its rows are drawn, and the
@@ -282,9 +317,9 @@ class TestFrozenGate:
         frozen, _ = certified(ps, self.spec, self.cfg)
         x = ps.positions.copy()
         x[labels == 1] -= 0.26  # box gap 0.04 - 0.05 < eps1 in every coordinate
-        assert frozen.collapsed(ps.with_positions(x, 1.0)) is None
+        assert frozen.pool_at(ps.with_positions(x, 1.0)) is None
         assert frozen.since is None
-        assert frozen.partners(ps, self.cfg, 2) is None
+        assert frozen.pool_at(ps) is None
 
     def test_grown_box_still_apart_is_checked_again(self):
         """A box that grows, as rounding can make one, stays frozen while
@@ -293,7 +328,7 @@ class TestFrozenGate:
         frozen, _ = certified(ps, self.spec, self.cfg)
         x = ps.positions.copy()
         x[0] = x[labels == 0].min(axis=0) - 1e-3
-        assert frozen.collapsed(ps.with_positions(x, 1.0)) is not None
+        assert frozen.pool_at(ps.with_positions(x, 1.0)) is frozen.pool
         assert frozen.since == 0.0
         np.testing.assert_array_equal(frozen.lo[0], x[0])
 
